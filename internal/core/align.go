@@ -123,8 +123,7 @@ func (a *Aligner) Run() *Result {
 // nil and the context's error; the aligner's intermediate state stays
 // inspectable through Assignments and friends.
 func (a *Aligner) RunContext(ctx context.Context) (*Result, error) {
-	it := 0
-	for it = 1; it <= a.cfg.MaxIterations; it++ {
+	for it := 1; it <= a.cfg.MaxIterations; it++ {
 		stats, err := a.StepContext(ctx, it)
 		if err != nil {
 			return nil, err
@@ -139,13 +138,16 @@ func (a *Aligner) RunContext(ctx context.Context) (*Result, error) {
 	if a.cfg.NegativeEvidence {
 		// Equation (14) runs as a filter over the converged equalities:
 		// counter-evidence is only meaningful once the equality estimates
-		// feeding its inner products are trustworthy (see Config).
+		// feeding its inner products are trustworthy (see Config). It is
+		// numbered after the last completed iteration, whether the loop
+		// converged or ran out of iterations.
 		a.negativePass = true
-		if _, err := a.StepContext(ctx, it+1); err != nil {
+		neg := len(a.iters) + 1
+		if _, err := a.StepContext(ctx, neg); err != nil {
 			return nil, err
 		}
 		if a.cfg.OnIteration != nil {
-			a.cfg.OnIteration(it+1, a)
+			a.cfg.OnIteration(neg, a)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -227,14 +229,14 @@ func (a *Aligner) RelationAlignments() (to2, to1 []RelAlignment) {
 	if a.rel == nil {
 		return nil, nil
 	}
-	for r1, m := range a.rel.to2 {
-		for r2, p := range m {
-			to2 = append(to2, RelAlignment{Sub: store.Relation(r1), Super: r2, P: p})
+	for r1, row := range a.rel.to2 {
+		for _, sc := range row {
+			to2 = append(to2, RelAlignment{Sub: store.Relation(r1), Super: sc.rel, P: sc.p})
 		}
 	}
-	for r2, m := range a.rel.to1 {
-		for r1, p := range m {
-			to1 = append(to1, RelAlignment{Sub: store.Relation(r2), Super: r1, P: p})
+	for r2, row := range a.rel.to1 {
+		for _, sc := range row {
+			to1 = append(to1, RelAlignment{Sub: store.Relation(r2), Super: sc.rel, P: sc.p})
 		}
 	}
 	sortRelAlignments(to2)

@@ -7,6 +7,7 @@ package core
 // and a pre-run aligner reports all zeros.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -80,5 +81,33 @@ func TestConvergenceStatsInvariants(t *testing.T) {
 	last := stats[len(stats)-1]
 	if last.ChangedFraction > 0.01 {
 		t.Errorf("final iteration changed fraction %v, want converged", last.ChangedFraction)
+	}
+}
+
+// TestNegativePassNumberedAfterExhaustedLoop runs the fixpoint until it uses
+// up MaxIterations without converging; the Equation (14) pass that follows
+// must carry the next number, not skip one.
+func TestNegativePassNumberedAfterExhaustedLoop(t *testing.T) {
+	o1, o2, err := gen.Restaurants(gen.RestaurantsConfig{Seed: 5}).Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hooked []int
+	res := New(o1, o2, Config{
+		MaxIterations:    2,
+		Convergence:      -1,
+		NegativeEvidence: true,
+		OnIteration:      func(it int, a *Aligner) { hooked = append(hooked, it) },
+	}).Run()
+	var labels []int
+	for _, s := range res.Iterations {
+		labels = append(labels, s.Iteration)
+	}
+	want := []int{1, 2, 3}
+	if !slices.Equal(labels, want) {
+		t.Errorf("IterationStats labels = %v, want %v", labels, want)
+	}
+	if !slices.Equal(hooked, want) {
+		t.Errorf("OnIteration labels = %v, want %v", hooked, want)
 	}
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/store"
 )
@@ -52,34 +53,49 @@ func (e *eqStore) setFwd(x store.Resource, cands []Cand) {
 	if len(cands) == 0 {
 		return
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].P != cands[j].P {
-			return cands[i].P > cands[j].P
-		}
-		return cands[i].To < cands[j].To
-	})
+	slices.SortFunc(cands, byProbability)
 	e.fwd[x] = cands
 	e.maxFwd[x] = cands[0]
 }
 
+// byProbability orders candidates by descending probability, then by ID.
+func byProbability(a, b Cand) int {
+	if a.P != b.P {
+		if a.P > b.P {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.To, b.To)
+}
+
 // finish builds the reverse index and reverse maximal assignments from the
-// forward candidate lists.
+// forward candidate lists. All reverse lists share one backing array, laid
+// out by a counting pass.
 func (e *eqStore) finish() {
-	for x, cands := range e.fwd {
+	off := make([]int, len(e.rev)+1)
+	for _, cands := range e.fwd {
 		for _, c := range cands {
-			e.rev[c.To] = append(e.rev[c.To], Cand{To: store.Resource(x), P: c.P})
+			off[c.To+1]++
 		}
 	}
-	for y, cands := range e.rev {
-		if len(cands) == 0 {
+	for y := range e.rev {
+		off[y+1] += off[y]
+	}
+	all := make([]Cand, off[len(e.rev)])
+	next := append([]int(nil), off[:len(e.rev)]...)
+	for x, cands := range e.fwd {
+		for _, c := range cands {
+			all[next[c.To]] = Cand{To: store.Resource(x), P: c.P}
+			next[c.To]++
+		}
+	}
+	for y := range e.rev {
+		if off[y] == off[y+1] {
 			continue
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].P != cands[j].P {
-				return cands[i].P > cands[j].P
-			}
-			return cands[i].To < cands[j].To
-		})
+		cands := all[off[y]:off[y+1]:off[y+1]]
+		slices.SortFunc(cands, byProbability)
 		e.rev[y] = cands
 		e.maxRev[y] = cands[0]
 	}

@@ -2,15 +2,23 @@ package core
 
 import "sync"
 
-// parallelFor runs fn(i) for i in [0, n) across the given number of worker
-// goroutines. Work is dealt in contiguous chunks to keep per-item overhead
-// low; fn must be safe to call concurrently for distinct i.
+// parallelFor runs fn(s, i) for i in [0, n) across the given number of
+// worker goroutines. Work is dealt in contiguous chunks to keep per-item
+// overhead low; fn must be safe to call concurrently for distinct i.
+//
+// Every worker calls newScratch once, when it starts, and hands the result to
+// each fn call it makes. The scratch is owned by that one goroutine for the
+// whole call, so fn may overwrite it without locking: the hot passes keep
+// their dense accumulators and candidate buffers there (see instScratch and
+// relScratch) instead of allocating maps per item. Scratch is allocated
+// afresh per parallelFor call, i.e. once per pass, and dropped when the call
+// returns.
 //
 // The paper's implementation was single-threaded and IO-bound on an SSD
 // (Section 5.2); our ontologies are memory-resident, so the per-instance
 // equality computations parallelize trivially and this substitutes for the
 // paper's fast-storage requirement.
-func parallelFor(n, workers int, fn func(i int)) {
+func parallelFor[S any](n, workers int, newScratch func() S, fn func(s S, i int)) {
 	if n == 0 {
 		return
 	}
@@ -18,8 +26,9 @@ func parallelFor(n, workers int, fn func(i int)) {
 		workers = n
 	}
 	if workers <= 1 {
+		s := newScratch()
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(s, i)
 		}
 		return
 	}
@@ -45,16 +54,20 @@ func parallelFor(n, workers int, fn func(i int)) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			s := newScratch()
 			for {
 				lo, hi, ok := take()
 				if !ok {
 					return
 				}
 				for i := lo; i < hi; i++ {
-					fn(i)
+					fn(s, i)
 				}
 			}
 		}()
 	}
 	wg.Wait()
 }
+
+// noScratch is the newScratch of passes that need no per-worker state.
+func noScratch() struct{} { return struct{}{} }

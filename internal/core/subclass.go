@@ -30,7 +30,7 @@ func (a *Aligner) subClassDirection(
 ) []ClassAlignment {
 	classes := src.Classes()
 	rows := make([][]ClassAlignment, len(classes))
-	parallelFor(len(classes), a.cfg.Workers, func(i int) {
+	parallelFor(len(classes), a.cfg.Workers, noScratch, func(_ struct{}, i int) {
 		rows[i] = a.subClassRow(src, dst, classes[i], all, maximal)
 	})
 	var out []ClassAlignment

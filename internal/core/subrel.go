@@ -1,31 +1,30 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/store"
 )
 
-// subRelStore holds the directed sub-relation scores of one iteration.
-// Missing entries are zero; before the first iteration (nil store) every
-// pair scores the bootstrap value θ (Section 5.1).
+// relScore is one entry of a sub-relation row: a relation of the other
+// ontology and an inclusion probability.
+type relScore struct {
+	rel store.Relation
+	p   float64
+}
+
+// subRelStore holds the directed sub-relation scores of one iteration as
+// sparse rows. to2[r1] lists (r2, P(r1 ⊆ r2)) for relation r1 of ontology 1
+// and to1[r2] lists (r1, P(r2 ⊆ r1)) for relation r2 of ontology 2; every row
+// is sorted by the other ontology's relation and holds only the scores that
+// survived truncation, so memory grows with the number of non-zero scores,
+// never with the number of relation pairs. Missing entries are zero; before
+// the first iteration (nil store) every pair scores the bootstrap value θ
+// (Section 5.1).
 type subRelStore struct {
-	to2 []map[store.Relation]float64 // ontology-1 relation -> P(r1 ⊆ r2)
-	to1 []map[store.Relation]float64 // ontology-2 relation -> P(r2 ⊆ r1)
-}
-
-// p12 returns P(r1 ⊆ r2) for r1 of ontology 1 and r2 of ontology 2.
-func (a *Aligner) p12(r1, r2 store.Relation) float64 {
-	if a.rel == nil {
-		return a.cfg.Theta
-	}
-	return a.rel.to2[r1][r2]
-}
-
-// p21 returns P(r2 ⊆ r1) for r2 of ontology 2 and r1 of ontology 1.
-func (a *Aligner) p21(r2, r1 store.Relation) float64 {
-	if a.rel == nil {
-		return a.cfg.Theta
-	}
-	return a.rel.to1[r2][r1]
+	to2 [][]relScore
+	to1 [][]relScore
 }
 
 // relLink pairs one ontology-2 relation with its inclusion scores against a
@@ -36,34 +35,38 @@ type relLink struct {
 	p21 float64        // P(rel ⊆ r1)
 }
 
-// linkedRelations returns the ontology-2 relations with a positive inclusion
-// score against r1 in either direction. During the bootstrap iteration every
-// ontology-2 relation is linked with θ.
-func (a *Aligner) linkedRelations(r1 store.Relation) []relLink {
-	if a.rel == nil {
-		out := make([]relLink, a.o2.NumRelations())
-		for i := range out {
-			out[i] = relLink{rel: store.Relation(i), p12: a.cfg.Theta, p21: a.cfg.Theta}
-		}
-		return out
-	}
-	seen := make(map[store.Relation]relLink)
-	for r2, p := range a.rel.to2[r1] {
-		seen[r2] = relLink{rel: r2, p12: p}
-	}
-	for r2 := range a.rel.to1 {
-		if p := a.rel.to1[r2][r1]; p > 0 {
-			l := seen[store.Relation(r2)]
-			l.rel = store.Relation(r2)
-			l.p21 = p
-			seen[store.Relation(r2)] = l
+// linkRows joins both directions of the store into one row per ontology-1
+// relation r1: every ontology-2 relation with a score against r1 in either
+// direction, sorted by that relation. The instance pass builds the rows once
+// and reads both the Equation (13) and the Equation (14) factors from them.
+func (s *subRelStore) linkRows() [][]relLink {
+	// back[r1] lists (r2, P(r2 ⊆ r1)) in r2 order.
+	back := make([][]relScore, len(s.to2))
+	for r2, row := range s.to1 {
+		for _, sc := range row {
+			back[sc.rel] = append(back[sc.rel], relScore{rel: store.Relation(r2), p: sc.p})
 		}
 	}
-	out := make([]relLink, 0, len(seen))
-	for _, l := range seen {
-		out = append(out, l)
+	links := make([][]relLink, len(s.to2))
+	for r1, fwd := range s.to2 {
+		bwd := back[r1]
+		row := make([]relLink, 0, len(fwd)+len(bwd))
+		for len(fwd) > 0 || len(bwd) > 0 {
+			switch {
+			case len(bwd) == 0 || len(fwd) > 0 && fwd[0].rel < bwd[0].rel:
+				row = append(row, relLink{rel: fwd[0].rel, p12: fwd[0].p})
+				fwd = fwd[1:]
+			case len(fwd) == 0 || bwd[0].rel < fwd[0].rel:
+				row = append(row, relLink{rel: bwd[0].rel, p21: bwd[0].p})
+				bwd = bwd[1:]
+			default:
+				row = append(row, relLink{rel: fwd[0].rel, p12: fwd[0].p, p21: bwd[0].p})
+				fwd, bwd = fwd[1:], bwd[1:]
+			}
+		}
+		links[r1] = row
 	}
-	return out
+	return links
 }
 
 // subRelationPass evaluates Equation (12) in both directions:
@@ -77,33 +80,47 @@ func (a *Aligner) linkedRelations(r1 store.Relation) []relLink {
 // dropped. Scores for inverse relations are derived from the base pair,
 // since P(r⁻¹ ⊆ r'⁻¹) = P(r ⊆ r') holds exactly.
 func (a *Aligner) subRelationPass() *subRelStore {
-	s := &subRelStore{
-		to2: make([]map[store.Relation]float64, a.o1.NumRelations()),
-		to1: make([]map[store.Relation]float64, a.o2.NumRelations()),
+	return &subRelStore{
+		to2: a.subRelDirection(a.o1, a.o2, a.equalsOf1),
+		to1: a.subRelDirection(a.o2, a.o1, a.equalsOf2),
 	}
-	a.subRelDirection(a.o1, a.o2, a.equalsOf1, s.to2)
-	a.subRelDirection(a.o2, a.o1, a.equalsOf2, s.to1)
-	return s
 }
 
-// subRelDirection fills out[r] = {r': P(r ⊆ r')} for every relation r of
+// relScratch is the per-worker state of the relation pass. num and seen are
+// dense over the relations of the destination ontology: num accumulates the
+// numerators of the current row, seen marks the relations written, and
+// touched lists them, so draining the row costs only what it wrote. perStmt
+// holds the per-statement products, which touch only a few relations each.
+type relScratch struct {
+	num        []float64
+	seen       []bool
+	touched    []store.Relation
+	perStmt    []relScore
+	xBuf, yBuf []weighted
+}
+
+// subRelDirection returns the rows {r': P(r ⊆ r')} for every relation r of
 // src, with r' ranging over relations of dst.
 func (a *Aligner) subRelDirection(
 	src, dst *store.Ontology,
 	equals func(store.Node, []weighted) []weighted,
-	out []map[store.Relation]float64,
-) {
-	nBase := src.NumRelations() / 2
-	rows := make([][2]map[store.Relation]float64, nBase)
-	parallelFor(nBase, a.cfg.Workers, func(i int) {
+) [][]relScore {
+	out := make([][]relScore, src.NumRelations())
+	newScratch := func() *relScratch {
+		n := dst.NumRelations()
+		return &relScratch{num: make([]float64, n), seen: make([]bool, n)}
+	}
+	parallelFor(src.NumRelations()/2, a.cfg.Workers, newScratch, func(s *relScratch, i int) {
 		base := store.Relation(2 * i)
-		num, den := a.subRelRow(src, dst, base, equals)
-		if den == 0 {
-			return
-		}
-		direct := make(map[store.Relation]float64)
-		inverse := make(map[store.Relation]float64)
-		for r2, v := range num {
+		den := a.subRelRow(s, src, dst, base, equals)
+		slices.Sort(s.touched)
+		var direct []relScore
+		for _, r2 := range s.touched {
+			v := s.num[r2]
+			s.num[r2], s.seen[r2] = 0, false
+			if den == 0 {
+				continue
+			}
 			p := v / den
 			if p < a.cfg.Truncation || p == 0 {
 				continue
@@ -111,85 +128,90 @@ func (a *Aligner) subRelDirection(
 			if p > 1 {
 				p = 1
 			}
-			direct[r2] = p
-			inverse[r2.Inverse()] = p
+			direct = append(direct, relScore{rel: r2, p: p})
 		}
-		if len(direct) > 0 {
-			rows[i] = [2]map[store.Relation]float64{direct, inverse}
+		s.touched = s.touched[:0]
+		if len(direct) == 0 {
+			return
 		}
+		inverse := make([]relScore, len(direct))
+		for k, sc := range direct {
+			inverse[k] = relScore{rel: sc.rel.Inverse(), p: sc.p}
+		}
+		slices.SortFunc(inverse, byRelation)
+		out[base], out[base.Inverse()] = direct, inverse
 	})
-	for i, row := range rows {
-		out[2*i] = row[0]
-		out[2*i+1] = row[1]
-	}
+	return out
 }
 
-// subRelRow accumulates the numerator per destination relation and the
-// shared denominator for one base relation of src.
+// byRelation orders the entries of a sub-relation row by relation.
+func byRelation(x, y relScore) int { return cmp.Compare(x.rel, y.rel) }
+
+// subRelRow accumulates the numerator per destination relation into s.num
+// and returns the shared denominator for one base relation of src.
 func (a *Aligner) subRelRow(
+	s *relScratch,
 	src, dst *store.Ontology,
 	r store.Relation,
 	equals func(store.Node, []weighted) []weighted,
-) (map[store.Relation]float64, float64) {
-	num := make(map[store.Relation]float64)
+) float64 {
 	den := 0.0
 	count := 0
-	var xBuf, yBuf []weighted
-	perStmt := make(map[store.Relation]float64)
-	src.EachStatement(r, func(s, o store.Node) bool {
+	src.EachStatement(r, func(x, y store.Node) bool {
 		count++
 		if count > a.cfg.PairLimit {
 			return false
 		}
-		xBuf = equals(s, xBuf[:0])
-		if len(xBuf) == 0 {
+		s.xBuf = equals(x, s.xBuf[:0])
+		if len(s.xBuf) == 0 {
 			return true
 		}
-		yBuf = equals(o, yBuf[:0])
-		if len(yBuf) == 0 {
+		s.yBuf = equals(y, s.yBuf[:0])
+		if len(s.yBuf) == 0 {
 			return true
 		}
 		// Denominator term: 1 - Π over all equal pairs (x', y').
 		denProd := 1.0
-		for k := range perStmt {
-			delete(perStmt, k)
-		}
-		for _, wx := range xBuf {
-			for _, wy := range yBuf {
+		perStmt := s.perStmt[:0]
+		for _, wx := range s.xBuf {
+			for _, wy := range s.yBuf {
 				pp := wx.p * wy.p
 				denProd *= 1 - pp
 				// Numerator: which dst relations connect x' to y'?
-				forEachConnecting(dst, wx.node, wy.node, func(r2 store.Relation) {
-					if cur, ok := perStmt[r2]; ok {
-						perStmt[r2] = cur * (1 - pp)
-					} else {
-						perStmt[r2] = 1 - pp
+				for _, e := range edgesFrom(dst, wx.node) {
+					if e.To != wy.node {
+						continue
 					}
-				})
+					k := 0
+					for k < len(perStmt) && perStmt[k].rel != e.Rel {
+						k++
+					}
+					if k == len(perStmt) {
+						perStmt = append(perStmt, relScore{rel: e.Rel, p: 1 - pp})
+					} else {
+						perStmt[k].p *= 1 - pp
+					}
+				}
 			}
 		}
 		den += 1 - denProd
-		for r2, prod := range perStmt {
-			num[r2] += 1 - prod
+		for _, sc := range perStmt {
+			if !s.seen[sc.rel] {
+				s.seen[sc.rel] = true
+				s.touched = append(s.touched, sc.rel)
+			}
+			s.num[sc.rel] += 1 - sc.p
 		}
+		s.perStmt = perStmt
 		return true
 	})
-	return num, den
+	return den
 }
 
-// forEachConnecting calls fn(r2) for every dst relation r2 with r2(x, y).
-func forEachConnecting(dst *store.Ontology, x, y store.Node, fn func(store.Relation)) {
+// edgesFrom returns the statements of dst whose first argument is x.
+func edgesFrom(dst *store.Ontology, x store.Node) []store.Edge {
 	if x.IsLit() {
-		for _, e := range dst.LitEdges(x.Lit()) {
-			if e.To == y {
-				fn(e.Rel)
-			}
-		}
-		return
+		return dst.LitEdges(x.Lit())
 	}
-	for _, e := range dst.Edges(x.Res()) {
-		if e.To == y {
-			fn(e.Rel)
-		}
-	}
+	return dst.Edges(x.Res())
 }

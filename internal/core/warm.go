@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/store"
@@ -44,32 +45,41 @@ func NewWarm(o1, o2 *store.Ontology, cfg Config, prior *ResultSnapshot) (*Aligne
 	eq.finish()
 	a.eq = eq
 
-	rel := &subRelStore{
-		to2: make([]map[store.Relation]float64, o1.NumRelations()),
-		to1: make([]map[store.Relation]float64, o2.NumRelations()),
+	a.rel = &subRelStore{
+		to2: seedScores(o1, o2, prior.Relations12),
+		to1: seedScores(o2, o1, prior.Relations21),
 	}
-	seedScores(rel.to2, o1, o2, prior.Relations12)
-	seedScores(rel.to1, o2, o1, prior.Relations21)
-	a.rel = rel
 	return a, nil
 }
 
 // seedScores resolves snapshot relation names against the sub and super
-// ontologies and installs the scores. Snapshots store inverse rows
-// explicitly (RelationAlignments enumerates them), so no derivation is
-// needed here.
-func seedScores(out []map[store.Relation]float64, sub, super *store.Ontology, scores []SnapshotRelation) {
+// ontologies and returns one score row per sub relation, sorted by super
+// relation; a pair listed twice keeps its last score. Snapshots store
+// inverse rows explicitly (RelationAlignments enumerates them), so no
+// derivation is needed here.
+func seedScores(sub, super *store.Ontology, scores []SnapshotRelation) [][]relScore {
+	out := make([][]relScore, sub.NumRelations())
 	for _, sr := range scores {
 		r1, ok1 := lookupRelationName(sub, sr.Sub)
 		r2, ok2 := lookupRelationName(super, sr.Super)
 		if !ok1 || !ok2 {
 			continue
 		}
-		if out[r1] == nil {
-			out[r1] = make(map[store.Relation]float64)
-		}
-		out[r1][r2] = sr.P
+		out[r1] = append(out[r1], relScore{rel: r2, p: sr.P})
 	}
+	for r1, row := range out {
+		slices.SortStableFunc(row, byRelation)
+		// Keep the last score of each run of equal relations.
+		kept := row[:0]
+		for i, sc := range row {
+			if i+1 < len(row) && row[i+1].rel == sc.rel {
+				continue
+			}
+			kept = append(kept, sc)
+		}
+		out[r1] = kept
+	}
+	return out
 }
 
 // inverseMarker is the suffix store.Ontology appends to inverse relation
