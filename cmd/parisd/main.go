@@ -53,14 +53,13 @@
 // a streamed chunked body, so KBs can be aligned on a remote parisd without
 // shipping files to its disk out of band. The spooled dump is validated by
 // an ingest job on the worker pool — the streaming parallel loader
-// (internal/ingest) parses blocks concurrently under -ingest-budget bytes
-// of memory with -ingest-workers parsers, spilling sorted runs to temp
-// segments for dumps bigger than the budget — then committed under
-// <state>/kbs/; jobs reference it as "kb:<name>". An interrupted upload
-// keeps its spooled bytes: GET /v1/kbs reports the offset, and re-POSTing
-// with ?offset=M appends the remainder instead of starting over. Alignment
-// jobs load their KB files through the same pipeline, with per-block
-// progress on the job record.
+// (internal/ingest) parses blocks on -ingest-workers parsers and streams
+// them on in input order, holding a few blocks per parser whatever the
+// dump's size — then committed under <state>/kbs/; jobs reference it as
+// "kb:<name>". An interrupted upload keeps its spooled bytes: GET /v1/kbs
+// reports the offset, and re-POSTing with ?offset=M appends the remainder
+// instead of starting over. Alignment jobs load their KB files through the
+// same pipeline, with per-block progress on the job record.
 //
 // GET /v1/jobs/{id} with "Accept: text/event-stream" streams job progress
 // as server-sent events (state, iteration, ingest, done frames) instead of
@@ -111,7 +110,6 @@ func main() {
 	shardSpec := flag.String("shard", "", "serve as shard i/N of a sharded deployment (e.g. 1/3): lookups only, slices via PUT /v1/snapshots/{id}")
 	maxSnap := flag.Int64("max-snapshot-bytes", 0, "PUT /v1/snapshots/{id} body limit (0 = 1 GiB)")
 	ingestWorkers := flag.Int("ingest-workers", 0, "parallel parse workers for streaming KB loads (0 = min(GOMAXPROCS, 8))")
-	ingestBudget := flag.Int64("ingest-budget", 0, "memory budget in bytes for streaming KB loads before spilling to disk (0 = 256 MiB)")
 	maxUpload := flag.Int64("max-upload-bytes", 0, "total spooled size limit of one POST /v1/kbs upload (0 = 16 GiB)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -144,7 +142,6 @@ func main() {
 		ShardCount:       sp.Count,
 		MaxSnapshotBytes: *maxSnap,
 		IngestWorkers:    *ingestWorkers,
-		IngestBudget:     *ingestBudget,
 		MaxUploadBytes:   *maxUpload,
 		Logf:             log.Printf,
 	})

@@ -3,9 +3,7 @@
 // disk, follow the ingest job's per-block progress over the SSE stream
 // with client.WatchJob, recover an interrupted upload from the offset the
 // server reports, and align the pushed KB by its "kb:" reference — an
-// in-process parisd (with a deliberately small ingest memory budget, so
-// the streaming loader spills and merges like it would on a multi-GB dump)
-// stands in for the real daemon.
+// in-process parisd stands in for the real daemon.
 package main
 
 import (
@@ -28,9 +26,8 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// Stand-in for `parisd -state ... -ingest-workers 4 -ingest-budget
-	// 1048576`: every streaming load parses blocks on 4 workers and
-	// spills sorted runs to disk past 1 MiB of buffered triples.
+	// Stand-in for `parisd -state ... -ingest-workers 4`: every streaming
+	// load parses blocks on 4 workers and feeds them on in input order.
 	dir, err := os.MkdirTemp("", "paris-ingest-example")
 	if err != nil {
 		log.Fatal(err)
@@ -40,7 +37,6 @@ func main() {
 		StateDir:      filepath.Join(dir, "state"),
 		Workers:       1,
 		IngestWorkers: 4,
-		IngestBudget:  1 << 20,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -85,8 +81,8 @@ func main() {
 	final, err := c.WatchJob(ctx, job.ID, func(ev client.JobEvent) {
 		if ev.Type == client.EventIngest && ev.Job.Ingest != nil {
 			p := ev.Job.Ingest
-			fmt.Printf("  block %d: %d triples, %d bytes, %d spill(s)\n",
-				p.Blocks, p.Triples, p.Bytes, p.Spills)
+			fmt.Printf("  block %d: %d triples, %d bytes\n",
+				p.Blocks, p.Triples, p.Bytes)
 		}
 	})
 	if err != nil {

@@ -2,7 +2,7 @@ package ingest_test
 
 // Differential acceptance: the streaming parallel pipeline and the legacy
 // single-pass loader must be indistinguishable — identical ontologies
-// (dictionary IDs included, since the merge replays exact input order) and
+// (dictionary IDs included, since the stream replays exact input order) and
 // byte-identical alignment snapshots over the movies and world corpora.
 // Wall-clock fields (per-iteration timings, ClassTime) are zeroed before
 // the byte comparison; they measure the run, not the alignment.
@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/ingest"
 	"repro/internal/store"
 )
 
@@ -130,15 +131,32 @@ func stripTimings(s *core.ResultSnapshot) {
 	s.ClassTime = 0
 }
 
-func runDifferential(t *testing.T, d *gen.Dataset) {
+// runDifferential loads d's files sequentially and through the pipeline
+// and compares the results. minBlocks is the fewest default-size blocks
+// each file must span, so that ordering across blocks is exercised.
+func runDifferential(t *testing.T, d *gen.Dataset, minBlocks int) {
 	path1, path2 := writeCorpus(t, d)
 
 	legacy1, legacy2 := loadPair(t, path1, path2)
-	// A deliberately starved budget plus several workers: the pipeline must
-	// spill and merge, the configuration furthest from a sequential read.
-	spill := t.TempDir()
-	ingest1, ingest2 := loadPair(t, path1, path2,
-		store.WithParallelism(4), store.WithMemoryBudget(64<<10), store.WithSpillDir(spill))
+	// Several workers over multi-block files: blocks finish out of order,
+	// the configuration furthest from a sequential read. loads keeps each
+	// load's latest progress; a load's first block starts a new entry.
+	var loads []ingest.Progress
+	ingest1, ingest2 := loadPair(t, path1, path2, store.WithParallelism(4),
+		store.WithLoadProgress(func(p ingest.Progress) {
+			if p.Blocks == 1 {
+				loads = append(loads, p)
+			}
+			loads[len(loads)-1] = p
+		}))
+	if len(loads) != 2 {
+		t.Fatalf("progress reported for %d loads, want 2", len(loads))
+	}
+	for i, p := range loads {
+		if p.Blocks < minBlocks {
+			t.Errorf("file %d spans %d blocks, want at least %d", i+1, p.Blocks, minBlocks)
+		}
+	}
 
 	assertOntologiesIdentical(t, legacy1, ingest1)
 	assertOntologiesIdentical(t, legacy2, ingest2)
@@ -167,24 +185,14 @@ func runDifferential(t *testing.T, d *gen.Dataset) {
 		t.Fatalf("alignment snapshots differ: %d vs %d bytes (assignments %d vs %d)",
 			len(wantBytes), len(gotBytes), len(snapLegacy.Instances), len(snapIngest.Instances))
 	}
-
-	// The spill dir must be empty again: temp segments live only for the
-	// duration of one load.
-	ents, err := os.ReadDir(spill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Errorf("spill segments left behind: %d entries", len(ents))
-	}
 }
 
 func TestDifferentialMoviesCorpus(t *testing.T) {
-	runDifferential(t, gen.Movies(gen.MoviesConfig{Seed: 11, People: 400, Movies: 120}))
+	runDifferential(t, gen.Movies(gen.MoviesConfig{Seed: 11, People: 400, Movies: 120}), 1)
 }
 
+// TestDifferentialWorldCorpus runs the full-size world corpus, whose
+// smaller file still spans 4 default 1 MiB blocks.
 func TestDifferentialWorldCorpus(t *testing.T) {
-	runDifferential(t, gen.World(gen.WorldConfig{
-		Seed: 11, People: 250, Cities: 25, Companies: 12, Movies: 50, Albums: 40, Books: 40,
-	}))
+	runDifferential(t, gen.World(gen.WorldConfig{Seed: 11}), 4)
 }

@@ -1,50 +1,38 @@
 // Package ingest is the streaming parallel KB loader: a chunked N-Triples
 // pipeline that splits the input at line boundaries into fixed-size blocks,
-// fans the blocks out to parallel parse workers (strings deduplicated
-// through a sharded symbol table), spills sorted triple runs to temp
-// segments when the configured memory budget fills, and k-way-merges the
-// runs back into exact input order for the consumer — so a multi-GB dump
-// never has to fit through one in-memory pass, and the result is
+// parses the blocks on parallel workers, and hands each block's triples to
+// the consumer in exact input order as soon as that block and every earlier
+// one is parsed — so the consumer's work overlaps parsing, and the result is
 // bit-compatible with the sequential loader.
 //
-// The order guarantee is the load-bearing design point: every worker drains
-// blocks off one channel, so each worker's stream of block sequence numbers
-// is increasing, every buffered run is born sorted by (block, line), and the
-// final merge reproduces the dump exactly as written. Dictionary IDs
-// assigned downstream (store.Builder interns in first-occurrence order)
-// therefore come out identical to a sequential load — the property the
-// differential acceptance test pins down.
+// The order guarantee is the load-bearing design point: the consumer takes
+// blocks strictly by sequence number, so it sees the dump exactly as
+// written. Dictionary IDs assigned downstream (store.Builder interns in
+// first-occurrence order) therefore come out identical to a sequential load
+// — the property the differential acceptance test pins down.
+//
+// Memory is bounded by a read-ahead window, not by the dump: the scanner
+// stalls once 2×Workers parsed or pending blocks wait for the consumer, so a
+// multi-GB dump passes through a few blocks at a time.
 package ingest
 
 import (
-	"bytes"
-	"container/heap"
 	"context"
 	"io"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
 
-// DefaultMemoryBudget bounds the triples buffered across all parse workers
-// before runs spill to temp segments.
-const DefaultMemoryBudget = 256 << 20
-
-// minWorkerBudget floors the per-worker spill threshold so a tiny budget
-// degrades into frequent spills, not a spill per triple.
-const minWorkerBudget = 64 << 10
-
 // Options configures one pipeline run. The zero value of every field has a
 // usable default.
 type Options struct {
 	// Workers is the number of parallel parse workers (default
-	// min(GOMAXPROCS, 8)).
+	// min(GOMAXPROCS, 8)). The read-ahead window is 2×Workers blocks.
 	Workers int
 
 	// BlockSize is the target block payload in bytes (default
@@ -56,14 +44,10 @@ type Options struct {
 	// lines fail with ErrOversizedLine rather than buffering without bound.
 	MaxLine int
 
-	// MemoryBudget bounds the bytes of parsed triples buffered in memory
-	// across all workers (default DefaultMemoryBudget); beyond it, sorted
-	// runs spill to temp segments and are merged back at the end.
-	MemoryBudget int64
-
-	// TempDir hosts the per-run spill directory (default os.TempDir()). The
-	// directory and every segment are removed when Run returns, on every
-	// path including errors and cancellation.
+	// TempDir is ignored: the pipeline writes no temp files.
+	//
+	// Deprecated: the ordered stream has nothing to spill; the field will
+	// be removed.
 	TempDir string
 
 	// Strict makes malformed lines fatal. The default mirrors the
@@ -75,8 +59,8 @@ type Options struct {
 	Strict bool
 
 	// Progress, when non-nil, receives the cumulative pipeline counters
-	// after every parsed block and every spill. Calls are serialized; keep
-	// the callback fast.
+	// after every block the consumer has taken, on the goroutine that
+	// called Run. Keep the callback fast.
 	Progress func(Progress)
 }
 
@@ -91,10 +75,6 @@ type Progress struct {
 	// dropped in non-strict mode.
 	Triples int64 `json:"triples"`
 	Skipped int64 `json:"skipped,omitempty"`
-	// Spills counts temp segments written and SpilledTriples the triples
-	// routed through them.
-	Spills         int   `json:"spills,omitempty"`
-	SpilledTriples int64 `json:"spilled_triples,omitempty"`
 	// Elapsed is the wall-clock time since the pipeline run started, so
 	// consumers (job watchers, the server's ingest metrics) can derive
 	// throughput (Bytes/Elapsed) without tracking the start themselves.
@@ -111,289 +91,157 @@ func (o Options) withDefaults() Options {
 	if o.MaxLine <= 0 {
 		o.MaxLine = DefaultMaxLine
 	}
-	if o.MemoryBudget <= 0 {
-		o.MemoryBudget = DefaultMemoryBudget
-	}
 	return o
 }
 
-// tracker accumulates the shared counters and serializes Progress callbacks.
-type tracker struct {
-	mu    sync.Mutex
-	fn    func(Progress)
-	p     Progress
-	start time.Time
-}
-
-func (t *tracker) block(bytes int, triples int, skipped int64) {
-	t.mu.Lock()
-	t.p.Blocks++
-	t.p.Bytes += int64(bytes)
-	t.p.Triples += int64(triples)
-	t.p.Skipped += skipped
-	t.p.Elapsed = time.Since(t.start)
-	if t.fn != nil {
-		t.fn(t.p)
-	}
-	t.mu.Unlock()
-}
-
-func (t *tracker) spill(triples int) {
-	t.mu.Lock()
-	t.p.Spills++
-	t.p.SpilledTriples += int64(triples)
-	t.p.Elapsed = time.Since(t.start)
-	if t.fn != nil {
-		t.fn(t.p)
-	}
-	t.mu.Unlock()
-}
-
-func (t *tracker) snapshot() Progress {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.p.Elapsed = time.Since(t.start)
-	return t.p
+// task is one block on its way through the pipeline: the scanner creates
+// it, a parse worker fills in the result and closes done, and the consumer
+// waits on done in block order.
+type task struct {
+	b       Block
+	size    int // len(b.Data); Data itself is dropped once parsed
+	triples []rdf.Triple
+	skipped int64
+	err     error
+	done    chan struct{}
 }
 
 // Run streams the N-Triples document r through the parallel pipeline,
-// calling emit for every triple in exact input order. It returns the final
-// counters and the first error: a typed *Error for corrupt input, the
-// context's error when canceled (checked per block, so a cancel aborts a
-// multi-GB load promptly and removes every temp segment), or emit's error.
+// calling emit for every triple in exact input order, on the calling
+// goroutine. It returns the final counters and the first error in input
+// order: a typed *Error for corrupt input, the context's error when
+// canceled (checked per block, so a cancel aborts a multi-GB load
+// promptly), or emit's error. Blocks before a failing block may already
+// have reached emit when Run returns the error, so a caller must discard
+// what it built from them.
 func Run(ctx context.Context, r io.Reader, opts Options, emit func(rdf.Triple) error) (Progress, error) {
 	opts = opts.withDefaults()
-	dir, err := os.MkdirTemp(opts.TempDir, "paris-ingest-")
-	if err != nil {
-		return Progress{}, err
-	}
-	// Cleanup is unconditional: temp segments exist only for the duration
-	// of one Run, whatever the outcome.
-	defer os.RemoveAll(dir)
-
 	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var failMu sync.Mutex
-	var failErr error
-	fail := func(err error) {
-		failMu.Lock()
-		if failErr == nil && err != nil {
-			failErr = err
-			cancel()
-		}
-		failMu.Unlock()
-	}
-	// firstErr must take the mutex: the scanner goroutine is not part of
-	// the worker WaitGroup and may still be recording a cancellation error
-	// when the workers have already drained.
-	firstErr := func() error {
-		failMu.Lock()
-		defer failMu.Unlock()
-		return failErr
-	}
-	// canceled records the enclosing context's error (bare, so callers'
-	// errors.Is(err, ctx.Err()) holds) and reports whether to stop.
-	canceled := func() bool {
-		if pctx.Err() == nil {
-			return false
-		}
-		if err := ctx.Err(); err != nil {
-			fail(err)
-		}
-		return true
-	}
-
-	trk := &tracker{fn: opts.Progress, start: time.Now()}
-	tab := NewSymTab()
-	blocks := make(chan Block, opts.Workers)
-
-	// Scanner: one goroutine slicing the stream into line-aligned blocks.
-	// It must be joined on every return path: Run's contract is that r is
-	// no longer touched once Run returns (callers close gzip readers and
-	// reuse readers immediately), and the scanner may be inside r.Read
-	// when a worker error or cancellation ends the run early. The join is
-	// bounded by one Read — the loop checks the canceled context before
-	// and after every read.
-	scanDone := make(chan struct{})
+	// The scanner and the workers must be joined on every return path:
+	// Run's contract is that r is no longer touched once Run returns
+	// (callers close gzip readers and reuse readers immediately), and the
+	// scanner may be inside r.Read when an error or a cancellation ends the
+	// run early. The join is bounded by one Read.
+	var wg sync.WaitGroup
 	defer func() {
 		cancel()
-		<-scanDone
+		wg.Wait()
 	}()
+
+	// order carries every block to the consumer in sequence, and its
+	// capacity is the read-ahead window: the scanner stalls while it is
+	// full. work carries the same blocks to the parse workers, with room
+	// for a whole window of them.
+	window := 2 * opts.Workers
+	order := make(chan *task, window)
+	work := make(chan *task, window)
+	send := func(ch chan<- *task, t *task) bool {
+		select {
+		case ch <- t:
+			return true
+		case <-pctx.Done():
+			return false
+		}
+	}
+
+	wg.Add(1 + opts.Workers)
 	go func() {
-		defer close(scanDone)
-		defer close(blocks)
+		defer wg.Done()
+		defer close(order)
+		defer close(work)
 		sc := NewBlockScanner(r, opts.BlockSize, opts.MaxLine)
-		for {
-			if canceled() {
-				return
-			}
+		for pctx.Err() == nil {
 			b, err := sc.Next()
 			if err == io.EOF {
 				return
 			}
+			t := &task{b: b, size: len(b.Data), err: err, done: make(chan struct{})}
 			if err != nil {
-				fail(err)
+				// A read failure reaches the consumer in order, after
+				// every block before it.
+				close(t.done)
+				send(order, t)
 				return
 			}
-			select {
-			case blocks <- b:
-			case <-pctx.Done():
-				canceled()
+			if !send(work, t) || !send(order, t) {
 				return
 			}
 		}
 	}()
-
-	// Parse workers: each drains blocks (its sequence of Seq values is
-	// increasing, so its buffer is born sorted), interns strings through
-	// the shared table, and spills its buffer as one sorted run whenever
-	// the per-worker share of the budget fills. The spill threshold
-	// targets half the budget across workers: the other half is headroom
-	// for in-flight blocks, the symbol table, the merge cursors, and GC
-	// slack, so the process's peak heap — not just the triple buffers —
-	// stays inside the configured budget.
-	perWorker := max(opts.MemoryBudget/(2*int64(opts.Workers)), minWorkerBudget)
-	type workerOut struct {
-		paths []string
-		tail  []seqTriple
-	}
-	outs := make([]workerOut, opts.Workers)
-	var spillSeq atomic.Int32
-	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			syms := newLocalSyms(tab)
-			var buf []seqTriple
-			var bufBytes int64
-			for b := range blocks {
-				if canceled() {
-					return
+			for t := range work {
+				// Once the run is over, drain without parsing.
+				t.err = pctx.Err()
+				if t.err == nil {
+					t.triples, t.skipped, t.err = parseBlock(t.b, opts)
 				}
-				ts, skipped, err := parseBlock(b, syms, opts)
-				if err != nil {
-					fail(err)
-					return
-				}
-				for _, st := range ts {
-					bufBytes += approxSize(st.t)
-				}
-				buf = append(buf, ts...)
-				trk.block(len(b.Data), len(ts), skipped)
-				if bufBytes >= perWorker {
-					path, err := spillRun(dir, int(spillSeq.Add(1))-1, buf)
-					if err != nil {
-						fail(err)
-						return
-					}
-					outs[w].paths = append(outs[w].paths, path)
-					trk.spill(len(buf))
-					buf, bufBytes = nil, 0
-				}
+				t.b.Data = nil
+				close(t.done)
 			}
-			outs[w].tail = buf
-		}(w)
-	}
-	wg.Wait()
-	if err := firstErr(); err != nil {
-		return trk.snapshot(), err
+		}()
 	}
 
-	// K-way merge: one cursor per run (spilled segments plus in-memory
-	// tails), ordered by (block, line) — the consumer sees exact input
-	// order.
-	var hp runHeap
-	closeAll := func() {
-		for _, c := range hp {
-			c.close()
-		}
+	start := time.Now()
+	var p Progress
+	finish := func(err error) (Progress, error) {
+		p.Elapsed = time.Since(start)
+		return p, err
 	}
-	for _, o := range outs {
-		for _, p := range o.paths {
-			c, err := diskCursor(p)
-			if err != nil {
-				closeAll()
-				return trk.snapshot(), err
-			}
-			if c.ok {
-				hp = append(hp, c)
-			} else {
-				c.close()
-			}
+	for t := range order {
+		select {
+		case <-t.done:
+		case <-ctx.Done():
 		}
-		if len(o.tail) > 0 {
-			hp = append(hp, memCursor(o.tail))
+		// The context's error is returned bare, so callers'
+		// errors.Is(err, ctx.Err()) holds.
+		if err := ctx.Err(); err != nil {
+			return finish(err)
 		}
-	}
-	defer closeAll()
-	heap.Init(&hp)
-	emitted := 0
-	for hp.Len() > 0 {
-		c := hp[0]
-		if err := emit(c.cur.t); err != nil {
-			return trk.snapshot(), err
+		if t.err != nil {
+			return finish(t.err)
 		}
-		emitted++
-		if emitted%8192 == 0 {
-			// The merge reads temp files, not the input stream, so it
-			// needs its own cancellation checks.
-			if err := ctx.Err(); err != nil {
-				return trk.snapshot(), err
+		for _, tr := range t.triples {
+			if err := emit(tr); err != nil {
+				return finish(err)
 			}
 		}
-		if err := c.next(); err != nil {
-			return trk.snapshot(), err
-		}
-		if c.ok {
-			heap.Fix(&hp, 0)
-		} else {
-			heap.Pop(&hp)
-			c.close()
-		}
-	}
-	return trk.snapshot(), nil
-}
-
-// spillRun writes one sorted run to a new temp segment and returns its path.
-func spillRun(dir string, seq int, ts []seqTriple) (string, error) {
-	w, err := newRunWriter(dir, seq)
-	if err != nil {
-		return "", err
-	}
-	for _, st := range ts {
-		if err := w.add(st); err != nil {
-			w.f.Close()
-			return "", err
+		p.Blocks++
+		p.Bytes += int64(t.size)
+		p.Triples += int64(len(t.triples))
+		p.Skipped += t.skipped
+		p.Elapsed = time.Since(start)
+		if opts.Progress != nil {
+			opts.Progress(p)
 		}
 	}
-	if err := w.close(); err != nil {
-		return "", err
-	}
-	return w.f.Name(), nil
+	// order also closes when a cancellation stopped the scanner early.
+	return finish(ctx.Err())
 }
 
 // parseBlock parses one block's lines, mirroring the sequential reader's
 // skip semantics (blank lines, '#' comments, and — in non-strict mode —
 // malformed lines), plus the corruption checks that are always fatal: a
 // per-line length bound, bare carriage returns, and invalid UTF-8 in IRIs.
-func parseBlock(b Block, syms *localSyms, opts Options) ([]seqTriple, int64, error) {
-	data := b.Data
-	out := make([]seqTriple, 0, len(data)/64)
+//
+// The block is converted to a string once; lines, and the terms parsed
+// from them, are substrings of it. A consumer that keeps a term beyond the
+// triple's lifetime must copy it (store.Builder does, on first sight), or
+// it keeps the whole block alive.
+func parseBlock(b Block, opts Options) ([]rdf.Triple, int64, error) {
+	data := string(b.Data)
+	out := make([]rdf.Triple, 0, strings.Count(data, "\n")+1)
 	var skipped int64
 	lineNo := b.Line - 1
-	var lineIdx uint32
 	for off := 0; off < len(data); {
 		lineNo++
-		lineIdx++
 		lineStart := off
-		var raw []byte
-		if nl := bytes.IndexByte(data[off:], '\n'); nl >= 0 {
-			raw = data[off : off+nl]
+		raw := data[off:]
+		if nl := strings.IndexByte(raw, '\n'); nl >= 0 {
+			raw = raw[:nl]
 			off += nl + 1
 		} else {
-			raw = data[off:]
 			off = len(data)
 		}
 		if len(raw) > opts.MaxLine {
@@ -402,16 +250,14 @@ func parseBlock(b Block, syms *localSyms, opts Options) ([]seqTriple, int64, err
 				Msg: "oversized line", Err: ErrOversizedLine,
 			}
 		}
-		if len(raw) > 0 && raw[len(raw)-1] == '\r' {
-			raw = raw[:len(raw)-1] // CRLF line ending
-		}
-		if i := bytes.IndexByte(raw, '\r'); i >= 0 {
+		raw = strings.TrimSuffix(raw, "\r") // CRLF line ending
+		if i := strings.IndexByte(raw, '\r'); i >= 0 {
 			return nil, 0, &Error{
 				Offset: b.Offset + int64(lineStart+i), Line: lineNo,
 				Err: ErrBareCR,
 			}
 		}
-		line := strings.TrimSpace(string(raw))
+		line := strings.TrimSpace(raw)
 		if line == "" || line[0] == '#' {
 			continue
 		}
@@ -432,11 +278,7 @@ func parseBlock(b Block, syms *localSyms, opts Options) ([]seqTriple, int64, err
 				Msg: "IRI " + iri, Err: ErrInvalidUTF8,
 			}
 		}
-		t.Subject.Value = syms.intern(t.Subject.Value)
-		t.Predicate.Value = syms.intern(t.Predicate.Value)
-		t.Object.Value = syms.intern(t.Object.Value)
-		t.Object.Datatype = syms.intern(t.Object.Datatype)
-		out = append(out, seqTriple{block: uint32(b.Seq), line: lineIdx, t: t})
+		out = append(out, t)
 	}
 	return out, skipped, nil
 }

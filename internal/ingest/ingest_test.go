@@ -8,9 +8,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/rdf"
 )
@@ -47,7 +50,6 @@ func sequential(t *testing.T, doc string) []rdf.Triple {
 
 func runCollect(t *testing.T, doc string, opts Options) ([]rdf.Triple, Progress) {
 	t.Helper()
-	opts.TempDir = t.TempDir()
 	var got []rdf.Triple
 	stats, err := Run(context.Background(), strings.NewReader(doc), opts, func(tr rdf.Triple) error {
 		got = append(got, tr)
@@ -84,19 +86,80 @@ func TestPipelineMatchesSequentialOrder(t *testing.T) {
 	}
 }
 
-func TestPipelineSpillsUnderBudgetAndStillOrders(t *testing.T) {
+// TestPipelineOrdersWhenWorkersRunAhead: a consumer that yields every 50
+// triples lets the parse workers run a full window ahead of it and finish
+// blocks out of order; the consumer must still see exact input order.
+func TestPipelineOrdersWhenWorkersRunAhead(t *testing.T) {
+	const workers = 3
 	doc := genDoc(3000)
 	want := sequential(t, doc)
-	// A budget far below the document size forces every worker to spill
-	// several sorted runs; the k-way merge must still reproduce input order.
-	got, stats := runCollect(t, doc, Options{Workers: 3, BlockSize: 1 << 10, MemoryBudget: 1})
+	var got []rdf.Triple
+	stats, err := Run(context.Background(), strings.NewReader(doc), Options{Workers: workers, BlockSize: 1 << 10},
+		func(tr rdf.Triple) error {
+			got = append(got, tr)
+			if len(got)%50 == 0 {
+				runtime.Gosched()
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	assertSameTriples(t, want, got)
-	if stats.Spills == 0 {
-		t.Fatal("expected spill segments under a 1-byte budget")
+	if window := 2 * workers; stats.Blocks < 3*window {
+		t.Errorf("only %d blocks; the document must span several windows of %d", stats.Blocks, window)
 	}
-	if stats.SpilledTriples == 0 {
-		t.Fatal("expected spilled triples to be counted")
+}
+
+// countingReader counts the bytes its source has supplied.
+type countingReader struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestPipelineBoundedReadAhead: a consumer that stalls on the first triple
+// stalls the scanner too, once the read-ahead window is full, instead of
+// letting the pipeline read (and buffer) the whole dump.
+func TestPipelineBoundedReadAhead(t *testing.T) {
+	const workers, blockSize = 2, 1 << 10
+	var b strings.Builder
+	for i := 0; b.Len() < 200*blockSize; i++ {
+		fmt.Fprintf(&b, "<http://x/e%d> <http://x/knows> <http://x/e%d> .\n", i, i+1)
 	}
+	doc := b.String()
+	src := &countingReader{r: strings.NewReader(doc)}
+	// The consumer's block, a full window (2×workers) queued behind it,
+	// the scanner's next block waiting to join the queue, and one block of
+	// slack for the partial line carried between reads.
+	const maxBlocks = 2*workers + 3
+	var supplied int64
+	var got []rdf.Triple
+	_, err := Run(context.Background(), src, Options{Workers: workers, BlockSize: blockSize},
+		func(tr rdf.Triple) error {
+			if len(got) == 0 {
+				// Give the pipeline time to read as far as it can. The
+				// bound must hold however long the consumer stalls; the
+				// pause only gives an unbounded pipeline room to show.
+				time.Sleep(100 * time.Millisecond)
+				supplied = src.n.Load()
+			}
+			got = append(got, tr)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks := (supplied + blockSize - 1) / blockSize; blocks > maxBlocks {
+		t.Errorf("reader supplied %d blocks (%d bytes of %d) while the consumer held the first triple; the window allows %d",
+			blocks, supplied, len(doc), maxBlocks)
+	}
+	assertSameTriples(t, sequential(t, doc), got)
 }
 
 func TestPipelineSkipsMalformedLinesLikeSequential(t *testing.T) {
@@ -113,7 +176,7 @@ func TestPipelineSkipsMalformedLinesLikeSequential(t *testing.T) {
 
 func TestPipelineStrictModeFailsOnMalformed(t *testing.T) {
 	doc := "<http://x/a> <http://x/p> <http://x/b> .\ngarbage here\n"
-	_, err := Run(context.Background(), strings.NewReader(doc), Options{Strict: true, TempDir: t.TempDir()},
+	_, err := Run(context.Background(), strings.NewReader(doc), Options{Strict: true},
 		func(rdf.Triple) error { return nil })
 	var ie *Error
 	if !errors.As(err, &ie) {
@@ -146,7 +209,7 @@ func TestPipelineGzipTruncationTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), zr, Options{TempDir: t.TempDir()}, func(rdf.Triple) error { return nil })
+	_, err = Run(context.Background(), zr, Options{}, func(rdf.Triple) error { return nil })
 	var ie *Error
 	if !errors.As(err, &ie) {
 		t.Fatalf("want *Error for truncated gzip, got %v", err)
@@ -164,7 +227,7 @@ func TestPipelineOversizedLiteralTyped(t *testing.T) {
 	monster := "<http://x/a> <http://x/p> \"" + strings.Repeat("x", 64<<10) + "\" .\n"
 	doc := good + monster
 	_, err := Run(context.Background(), strings.NewReader(doc),
-		Options{BlockSize: 1 << 10, MaxLine: 8 << 10, TempDir: t.TempDir()},
+		Options{BlockSize: 1 << 10, MaxLine: 8 << 10},
 		func(rdf.Triple) error { return nil })
 	var ie *Error
 	if !errors.As(err, &ie) {
@@ -186,7 +249,7 @@ func TestPipelineBareCRTyped(t *testing.T) {
 		"raw-cr-in-literal": "<http://x/a> <http://x/p> \"bad\rvalue\" .\n",
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, err := Run(context.Background(), strings.NewReader(doc), Options{TempDir: t.TempDir()},
+			_, err := Run(context.Background(), strings.NewReader(doc), Options{},
 				func(rdf.Triple) error { return nil })
 			var ie *Error
 			if !errors.As(err, &ie) {
@@ -206,7 +269,7 @@ func TestPipelineInvalidUTF8IRITyped(t *testing.T) {
 	good := "<http://x/a> <http://x/p> <http://x/b> .\n"
 	bad := "<http://x/\xff\xfe> <http://x/p> <http://x/c> .\n"
 	doc := good + bad
-	_, err := Run(context.Background(), strings.NewReader(doc), Options{TempDir: t.TempDir()},
+	_, err := Run(context.Background(), strings.NewReader(doc), Options{},
 		func(rdf.Triple) error { return nil })
 	var ie *Error
 	if !errors.As(err, &ie) {
@@ -225,7 +288,7 @@ func TestPipelineInvalidUTF8IRITyped(t *testing.T) {
 
 // TestPipelineCancellationCleansTempSegments is the regression test for the
 // coarse-cancellation bug: the pipeline must notice ctx cancellation at
-// block granularity mid-load and must not leave spill segments behind.
+// block granularity mid-load, and it must leave nothing in TempDir.
 func TestPipelineCancellationCleansTempSegments(t *testing.T) {
 	doc := genDoc(5000)
 	tmp := t.TempDir()
@@ -233,10 +296,9 @@ func TestPipelineCancellationCleansTempSegments(t *testing.T) {
 	var once sync.Once
 	blocks := 0
 	_, err := Run(ctx, strings.NewReader(doc), Options{
-		Workers:      2,
-		BlockSize:    1 << 10,
-		MemoryBudget: 1, // force spills so there are segments to clean up
-		TempDir:      tmp,
+		Workers:   2,
+		BlockSize: 1 << 10,
+		TempDir:   tmp,
 		Progress: func(p Progress) {
 			blocks = p.Blocks
 			if p.Blocks >= 3 {
@@ -259,7 +321,7 @@ func TestPipelineCancellationCleansTempSegments(t *testing.T) {
 		for i, e := range ents {
 			names[i] = e.Name()
 		}
-		t.Errorf("temp segments left behind after cancellation: %v", names)
+		t.Errorf("files left in TempDir after cancellation: %v", names)
 	}
 }
 
@@ -267,7 +329,7 @@ func TestPipelineEmitErrorStopsMerge(t *testing.T) {
 	doc := genDoc(100)
 	boom := errors.New("boom")
 	n := 0
-	_, err := Run(context.Background(), strings.NewReader(doc), Options{TempDir: t.TempDir()},
+	_, err := Run(context.Background(), strings.NewReader(doc), Options{},
 		func(rdf.Triple) error {
 			n++
 			if n == 10 {
@@ -304,27 +366,12 @@ func TestPipelineCRLFMatchesSequential(t *testing.T) {
 	assertSameTriples(t, want, got)
 }
 
-func TestSymTabInterns(t *testing.T) {
-	tab := NewSymTab()
-	a := tab.Intern("hello")
-	b := tab.Intern(string([]byte("hello"))) // distinct backing, equal value
-	if a != b {
-		t.Fatal("interned strings differ")
-	}
-	if tab.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (second spelling must reuse the first)", tab.Len())
-	}
-	if tab.Intern("") != "" {
-		t.Fatal("empty string must intern to itself")
-	}
-}
-
 func TestProgressMonotonic(t *testing.T) {
 	doc := genDoc(2000)
 	var mu sync.Mutex
 	var last Progress
 	_, err := Run(context.Background(), strings.NewReader(doc), Options{
-		Workers: 4, BlockSize: 1 << 10, TempDir: t.TempDir(),
+		Workers: 4, BlockSize: 1 << 10,
 		Progress: func(p Progress) {
 			mu.Lock()
 			defer mu.Unlock()

@@ -21,9 +21,8 @@ const (
 
 // Block is one line-aligned chunk of the input stream: it starts at the
 // beginning of a line and ends after a newline (except possibly the last
-// block of the stream). Seq numbers blocks 0,1,2,… in stream order — the
-// sort key that lets parallel parse results be merged back into exact input
-// order. Offset and Line locate the block for error reporting.
+// block of the stream). Seq numbers blocks 0,1,2,… in stream order. Offset
+// and Line locate the block for error reporting.
 type Block struct {
 	Seq    int
 	Offset int64 // byte offset of Data[0] in the (decompressed) stream

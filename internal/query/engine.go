@@ -23,7 +23,8 @@ type Prepared struct {
 }
 
 // Engine answers queries over one frozen union KB, caching plans by
-// normalized query shape in a bounded LRU. It is safe for concurrent use.
+// normalized query shape in a bounded LRU. It is safe for concurrent use;
+// concurrent first queries of one shape plan it once.
 type Engine struct {
 	kb *KB
 
@@ -38,6 +39,7 @@ type Engine struct {
 type cacheEntry struct {
 	shape string
 	plan  *plan
+	ready chan struct{} // closed once plan is set
 }
 
 // NewEngine returns an engine over kb with a plan cache of the given
@@ -73,31 +75,29 @@ func (e *Engine) Prepare(src string) (*Prepared, bool, error) {
 	e.mu.Lock()
 	if el, ok := e.byShape[shape]; ok {
 		e.lru.MoveToFront(el)
-		p := el.Value.(*cacheEntry).plan
+		ent := el.Value.(*cacheEntry)
 		e.mu.Unlock()
+		// The entry may still be pending: wait for its first caller's
+		// plan rather than planning the shape again.
+		<-ent.ready
 		e.hits.Add(1)
-		return &Prepared{Query: q, Shape: shape, plan: p}, true, nil
+		return &Prepared{Query: q, Shape: shape, plan: ent.plan}, true, nil
+	}
+	// A miss inserts a pending entry and plans outside the lock, so
+	// concurrent callers of this shape wait for one plan and other shapes
+	// never wait.
+	ent := &cacheEntry{shape: shape, ready: make(chan struct{})}
+	e.byShape[shape] = e.lru.PushFront(ent)
+	for e.lru.Len() > e.cap {
+		oldest := e.lru.Back()
+		e.lru.Remove(oldest)
+		delete(e.byShape, oldest.Value.(*cacheEntry).shape)
 	}
 	e.mu.Unlock()
 	e.misses.Add(1)
-
-	// Plan outside the lock: concurrent first-queries of one shape may
-	// plan twice, but never block each other behind a slow plan.
-	p := e.kb.newPlan(q)
-	e.mu.Lock()
-	if el, ok := e.byShape[shape]; ok {
-		e.lru.MoveToFront(el)
-		p = el.Value.(*cacheEntry).plan
-	} else {
-		e.byShape[shape] = e.lru.PushFront(&cacheEntry{shape: shape, plan: p})
-		for e.lru.Len() > e.cap {
-			oldest := e.lru.Back()
-			e.lru.Remove(oldest)
-			delete(e.byShape, oldest.Value.(*cacheEntry).shape)
-		}
-	}
-	e.mu.Unlock()
-	return &Prepared{Query: q, Shape: shape, plan: p}, false, nil
+	ent.plan = e.kb.newPlan(q)
+	close(ent.ready)
+	return &Prepared{Query: q, Shape: shape, plan: ent.plan}, false, nil
 }
 
 // Execute runs a prepared plan under ctx. Stats.CacheHit and

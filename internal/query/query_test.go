@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -416,6 +417,39 @@ func TestPlanCacheHitsBeatColdPlanning(t *testing.T) {
 		t.Fatalf("plan-cache hits (%v for %d reps) not faster than cold planning (%v)", warm, reps, cold)
 	}
 	t.Logf("%d preparations: cold %v, cached %v (%.1fx)", reps, cold, warm, float64(cold)/float64(warm))
+}
+
+// TestPlanCacheSingleFlight: concurrent first preparations of one shape
+// plan it once; the callers that arrive while it is planned wait for that
+// plan and count as hits. Each round bursts 8 callers at a new shape, so a
+// cache that lets two of them plan is caught with near certainty.
+func TestPlanCacheSingleFlight(t *testing.T) {
+	kb := tinyKB(t)
+	e := query.NewEngine(kb, 0)
+	const callers, rounds = 8, 100
+	for r := 0; r < rounds; r++ {
+		src := fmt.Sprintf(`?d <%sdirected> ?m . ?m a <%sMovie> . ?b <%sknows> ?d . `+
+			`?m <%sdirectedBy> ?d . ?d <%slabel> ?n . ?d <%sname> "n%d"`, tns1, tns2, tns1, tns2, tns2, tns1, r)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, _, err := e.Prepare(src); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		hits, misses := e.CacheStats()
+		if want := uint64(r + 1); misses != want || hits != want*(callers-1) {
+			t.Fatalf("round %d: cache stats = %d hits / %d misses, want %d/%d",
+				r, hits, misses, want*(callers-1), want)
+		}
+	}
 }
 
 func TestEngineConcurrency(t *testing.T) {

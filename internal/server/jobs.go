@@ -76,7 +76,7 @@ type DeltaRequest struct {
 }
 
 // IngestProgress is the cumulative per-block state of a streaming KB load:
-// consumed blocks and bytes, parsed and skipped triples, spill counters.
+// consumed blocks and bytes, parsed and skipped triples.
 // Phase names the load the counters belong to — "kb1"/"kb2" for the two
 // loads of an alignment job, the KB name for an upload validation — since
 // a job's Ingest slot holds the *current* load: consumers watching an

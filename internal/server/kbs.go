@@ -6,9 +6,9 @@ package server
 // ETL pipeline. The upload endpoint closes that gap: the client streams a
 // (possibly gzipped) N-Triples dump as a chunked request body, the server
 // spools it, and a job on the shared worker pool validates it through the
-// streaming ingest pipeline (parallel block parsing under the configured
-// memory budget, per-block progress on the job record and its SSE stream)
-// before committing it into <state>/kbs/ for later POST /v1/jobs use.
+// streaming ingest pipeline (parallel block parsing in bounded memory,
+// per-block progress on the job record and its SSE stream) before
+// committing it into <state>/kbs/ for later POST /v1/jobs use.
 //
 // Error semantics are resumable: a connection that dies mid-body leaves the
 // spool in place, GET /v1/kbs reports the partial upload's byte offset, and
@@ -434,9 +434,7 @@ func (s *Server) ingestKB(ctx context.Context, id string, rec UploadRecord) (str
 	}
 	feed := s.met.ingestFeeder()
 	stats, err := ingest.Run(ctx, r, ingest.Options{
-		Workers:      s.opts.IngestWorkers,
-		MemoryBudget: s.opts.IngestBudget,
-		TempDir:      s.opts.StateDir,
+		Workers: s.opts.IngestWorkers,
 		Progress: func(p ingest.Progress) {
 			feed(p)
 			s.jobs.ingestProgress(id, IngestProgress{Progress: p, Phase: rec.Name})

@@ -36,7 +36,6 @@ type serverMetrics struct {
 	ingestBlocks  *obs.Counter
 	ingestBytes   *obs.Counter
 	ingestTriples *obs.Counter
-	ingestSpills  *obs.Counter
 	ingestRate    *obs.Gauge
 
 	fixpointIterations *obs.Counter
@@ -89,8 +88,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Decompressed bytes consumed by the streaming KB loader."),
 		ingestTriples: reg.Counter("paris_ingest_triples_total",
 			"Triples parsed by the streaming KB loader."),
-		ingestSpills: reg.Counter("paris_ingest_spill_segments_total",
-			"Sorted runs spilled to temp segments by the streaming KB loader."),
 		ingestRate: reg.Gauge("paris_ingest_bytes_per_second",
 			"Throughput of the most recently observed streaming KB load."),
 		fixpointIterations: reg.Counter("paris_fixpoint_iterations_total",
@@ -172,7 +169,6 @@ func (m *serverMetrics) ingestFeeder() func(ingest.Progress) {
 		m.ingestBlocks.Add(delta(int64(p.Blocks), int64(last.Blocks)))
 		m.ingestBytes.Add(delta(p.Bytes, last.Bytes))
 		m.ingestTriples.Add(delta(p.Triples, last.Triples))
-		m.ingestSpills.Add(delta(int64(p.Spills), int64(last.Spills)))
 		if p.Elapsed > 0 {
 			m.ingestRate.Set(float64(p.Bytes) / p.Elapsed.Seconds())
 		}

@@ -72,11 +72,6 @@ type Options struct {
 	// alignment jobs (default min(GOMAXPROCS, 8)).
 	IngestWorkers int
 
-	// IngestBudget bounds the memory the streaming loader buffers before
-	// spilling sorted triple runs to temp segments under StateDir
-	// (default 256 MiB).
-	IngestBudget int64
-
 	// MaxUploadBytes bounds one uploaded KB's total spooled size across
 	// POST /v1/kbs requests (default 16 GiB) — the disk-side sibling of
 	// MaxSnapshotBytes.
@@ -146,9 +141,9 @@ func (o Options) withDefaults() Options {
 	if o.SpoolTTL == 0 {
 		o.SpoolTTL = 24 * time.Hour
 	}
-	// IngestWorkers and IngestBudget zero-default inside the ingest
-	// pipeline itself, so the daemon, the store layer, and the session all
-	// share one definition of "default".
+	// IngestWorkers zero-defaults inside the ingest pipeline itself, so
+	// the daemon, the store layer, and the session all share one
+	// definition of "default".
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -599,10 +594,10 @@ func (s *Server) cacheOntologies(snapID string, o1, o2 *store.Ontology) {
 }
 
 // loadKB is store.LoadFile through the streaming parallel ingest pipeline:
-// block-parallel parsing under the configured memory budget (spilling to
-// temp segments under StateDir when a dump outgrows it), cancellation
-// checked per block, and — when jobID is non-empty — per-block progress
-// onto the job record and its SSE stream.
+// block-parallel parsing that feeds the builder in input order, memory
+// bounded by the pipeline's read-ahead window, cancellation checked per
+// block, and — when jobID is non-empty — per-block progress onto the job
+// record and its SSE stream.
 func (s *Server) loadKB(ctx context.Context, jobID, phase, path string, lits *store.Literals, norm store.Normalizer) (o *store.Ontology, err error) {
 	ctx, sp := obs.StartSpan(ctx, s.opts.Logf, "ingest.load")
 	sp.Set("phase", phase)
@@ -616,11 +611,7 @@ func (s *Server) loadKB(ctx context.Context, jobID, phase, path string, lits *st
 		return nil, err
 	}
 	defer f.Close()
-	opts := []store.LoadOption{
-		store.WithParallelism(s.opts.IngestWorkers),
-		store.WithMemoryBudget(s.opts.IngestBudget),
-		store.WithSpillDir(s.opts.StateDir),
-	}
+	opts := []store.LoadOption{store.WithParallelism(s.opts.IngestWorkers)}
 	feed := s.met.ingestFeeder()
 	if jobID != "" {
 		opts = append(opts, store.WithLoadProgress(func(p ingest.Progress) {

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/rdf"
 )
@@ -25,6 +28,8 @@ type Builder struct {
 	typeEdges []typeEdge
 	subClass  []classEdge
 	subProp   []propEdge
+
+	keyBuf []byte // scratch for resource keys, reused across Add calls
 
 	err error
 }
@@ -63,22 +68,44 @@ func NewBuilder(name string, lits *Literals, norm Normalizer) *Builder {
 	}
 }
 
+// resource interns a resource term under its Key. The key is built in a
+// reused buffer and looked up without allocating; only a new resource
+// allocates its key, which is then a copy independent of the term's
+// backing string (often a whole parse block).
 func (b *Builder) resource(t rdf.Term) Resource {
-	key := t.Key()
-	if id, ok := b.resourceByKey[key]; ok {
+	b.keyBuf = appendKey(b.keyBuf[:0], t)
+	if id, ok := b.resourceByKey[string(b.keyBuf)]; ok {
 		return id
 	}
+	key := string(b.keyBuf)
 	id := Resource(len(b.resourceKeys))
 	b.resourceKeys = append(b.resourceKeys, key)
 	b.resourceByKey[key] = id
 	return id
 }
 
+// appendKey appends t.Key() to buf without building an intermediate string.
+func appendKey(buf []byte, t rdf.Term) []byte {
+	switch t.Kind {
+	case rdf.KindIRI:
+		buf = append(buf, '<')
+		buf = append(buf, t.Value...)
+		return append(buf, '>')
+	case rdf.KindBlank:
+		buf = append(buf, "_:"...)
+		return append(buf, t.Value...)
+	default:
+		return append(buf, t.Key()...)
+	}
+}
+
 // relation interns a base relation IRI, allocating the inverse alongside.
+// A new IRI is cloned: it may be a substring of a whole parse block.
 func (b *Builder) relation(iri string) Relation {
 	if id, ok := b.relationByName[iri]; ok {
 		return id
 	}
+	iri = strings.Clone(iri)
 	id := Relation(len(b.relationNames))
 	b.relationNames = append(b.relationNames, iri, iri+"⁻¹")
 	b.relationByName[iri] = id
@@ -255,15 +282,15 @@ func dedupFacts(fs []fact) []fact {
 	if len(fs) < 2 {
 		return fs
 	}
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.r != b.r {
-			return a.r < b.r
+	// Equal facts are identical, so an unstable sort yields one order.
+	slices.SortFunc(fs, func(a, b fact) int {
+		if c := cmp.Compare(a.r, b.r); c != 0 {
+			return c
 		}
-		if a.s != b.s {
-			return a.s < b.s
+		if c := cmp.Compare(a.s, b.s); c != 0 {
+			return c
 		}
-		return a.o < b.o
+		return cmp.Compare(a.o, b.o)
 	})
 	w := 1
 	for i := 1; i < len(fs); i++ {

@@ -18,17 +18,14 @@ import (
 // routes N-Triples input through the internal/ingest parallel pipeline.
 type loadConfig struct {
 	workers  int
-	budget   int64
-	tempDir  string
 	progress func(ingest.Progress)
 	pipeline bool
 }
 
 // LoadOption configures LoadFile/LoadReader. The ingest-backed streaming
-// path engages when any of WithParallelism, WithMemoryBudget, or
-// WithLoadProgress is given and the input is N-Triples; Turtle input (a
-// stateful grammar that cannot be block-split) always takes the sequential
-// parser.
+// path engages when WithParallelism or WithLoadProgress is given and the
+// input is N-Triples; Turtle input (a stateful grammar that cannot be
+// block-split) always takes the sequential parser.
 type LoadOption func(*loadConfig)
 
 // WithParallelism fans block parsing out to n workers (0 picks the ingest
@@ -40,20 +37,19 @@ func WithParallelism(n int) LoadOption {
 	}
 }
 
-// WithMemoryBudget bounds the bytes of parsed triples the loader buffers in
-// memory (0 picks the ingest default, 256 MiB); beyond it, sorted runs
-// spill to temp segments and are k-way-merged back in input order. Enables
-// the streaming pipeline.
+// WithMemoryBudget enables the streaming pipeline and ignores bytes: the
+// pipeline's memory is bounded by its read-ahead window, not a budget.
+//
+// Deprecated: use WithParallelism. WithMemoryBudget will be removed.
 func WithMemoryBudget(bytes int64) LoadOption {
-	return func(c *loadConfig) {
-		c.budget = bytes
-		c.pipeline = true
-	}
+	return func(c *loadConfig) { c.pipeline = true }
 }
 
-// WithSpillDir hosts the pipeline's temp segments (default os.TempDir()).
+// WithSpillDir does nothing: the streaming pipeline writes no temp files.
+//
+// Deprecated: WithSpillDir will be removed.
 func WithSpillDir(dir string) LoadOption {
-	return func(c *loadConfig) { c.tempDir = dir }
+	return func(*loadConfig) {}
 }
 
 // WithLoadProgress streams the cumulative per-block ingest counters during
@@ -137,7 +133,7 @@ func LoadReader(r io.Reader, format, name string, lits *Literals, norm Normalize
 
 // LoadReaderContext is LoadReader with cancellation: the context aborts the
 // load between reads on the sequential path and per block on the streaming
-// pipeline (which also removes its temp spill segments before returning).
+// pipeline.
 func LoadReaderContext(ctx context.Context, r io.Reader, format, name string, lits *Literals, norm Normalizer, opts ...LoadOption) (*Ontology, error) {
 	var cfg loadConfig
 	for _, opt := range opts {
@@ -167,15 +163,13 @@ func LoadReaderContext(ctx context.Context, r io.Reader, format, name string, li
 	switch ext := strings.ToLower(filepath.Ext(base)); ext {
 	case ".nt", ".ntriples":
 		if cfg.pipeline {
-			// Streaming parallel path: block-parallel parse with a memory
-			// budget; triples arrive in exact input order, so the builder's
-			// interning (and everything downstream) is bit-compatible with
-			// the sequential load.
+			// Streaming parallel path: block-parallel parse feeding the
+			// builder as it goes; triples arrive in exact input order, so
+			// the builder's interning (and everything downstream) is
+			// bit-compatible with the sequential load.
 			_, err := ingest.Run(ctx, r, ingest.Options{
-				Workers:      cfg.workers,
-				MemoryBudget: cfg.budget,
-				TempDir:      cfg.tempDir,
-				Progress:     cfg.progress,
+				Workers:  cfg.workers,
+				Progress: cfg.progress,
 			}, b.Add)
 			if err != nil {
 				return nil, fmt.Errorf("store: loading %s: %w", label, err)

@@ -7,6 +7,7 @@ package store
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/rdf"
 )
@@ -97,11 +98,13 @@ func NewLiterals() *Literals {
 }
 
 // Intern returns the ID for the normalized string s, allocating one if
-// needed.
+// needed. A new string is cloned: it may be a substring of a whole parse
+// block.
 func (ls *Literals) Intern(s string) Lit {
 	if id, ok := ls.byKey[s]; ok {
 		return id
 	}
+	s = strings.Clone(s)
 	id := Lit(len(ls.vals))
 	ls.vals = append(ls.vals, s)
 	ls.byKey[s] = id

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rdf"
 )
@@ -81,6 +82,49 @@ func TestLiteralsIntern(t *testing.T) {
 	}
 	if ls.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", ls.Len())
+	}
+}
+
+func TestAppendKeyMatchesKey(t *testing.T) {
+	for _, term := range []rdf.Term{
+		ex("Elvis"), rdf.Blank("b0"), rdf.Literal("x"),
+		rdf.LangLiteral("x", "en"), rdf.TypedLiteral("1", rdf.XSDString),
+		rdf.TypedLiteral("1", "http://www.w3.org/2001/XMLSchema#integer"),
+	} {
+		if got, want := string(appendKey([]byte("stale"), term)[len("stale"):]), term.Key(); got != want {
+			t.Errorf("appendKey(%v) = %q, want %q", term, got, want)
+		}
+	}
+}
+
+// TestBuilderCopiesKeptStrings: the ingest pipeline's terms are substrings
+// of a whole parse block, so every string the builder keeps must be a copy,
+// or the ontology pins each block it was loaded from.
+func TestBuilderCopiesKeptStrings(t *testing.T) {
+	block := strings.Repeat("#", 64) + "http://ex.org/Elvis http://ex.org/name Elvis"
+	start := uintptr(unsafe.Pointer(unsafe.StringData(block)))
+	inBlock := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return p >= start && p < start+uintptr(len(block))
+	}
+	sub := func(s string) string {
+		i := strings.Index(block, s)
+		return block[i : i+len(s)]
+	}
+	b := NewBuilder("test", NewLiterals(), nil)
+	if err := b.Add(rdf.T(rdf.IRI(sub("http://ex.org/Elvis")), rdf.IRI(sub("http://ex.org/name")),
+		rdf.Literal(sub("Elvis")))); err != nil {
+		t.Fatal(err)
+	}
+	o := b.Build()
+	for what, s := range map[string]string{
+		"resource key":  o.ResourceKey(0),
+		"relation name": o.RelationName(0),
+		"literal":       o.Literals().Value(0),
+	} {
+		if inBlock(s) {
+			t.Errorf("%s %q shares the parse block's memory", what, s)
+		}
 	}
 }
 

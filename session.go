@@ -80,7 +80,6 @@ type Session struct {
 	progress     func(IterationStats)
 	loadProgress func(LoadProgress)
 	ingestWork   int
-	ingestBudget int64
 	singleShot   bool
 	lits         *Literals
 	litsSet      bool // lits pinned by WithLiterals (or adopted by the first Use)
@@ -116,14 +115,14 @@ func WithProgress(fn func(IterationStats)) SessionOption {
 }
 
 // LoadProgress is the cumulative per-block state of a streaming load:
-// consumed blocks and bytes, parsed and skipped triples, and spill counters
-// (see internal/ingest).
+// consumed blocks and bytes, and parsed and skipped triples (see
+// internal/ingest).
 type LoadProgress = ingest.Progress
 
 // WithLoadProgress streams the cumulative ingest counters after every
 // parsed block during Session.Load — the load-phase sibling of
 // WithProgress, which streams per-iteration fixpoint statistics during
-// Align. Calls are serialized, on a pipeline goroutine.
+// Align. Calls are serialized, on the goroutine that called Load.
 func WithLoadProgress(fn func(LoadProgress)) SessionOption {
 	return func(s *Session) { s.loadProgress = fn }
 }
@@ -132,12 +131,6 @@ func WithLoadProgress(fn func(LoadProgress)) SessionOption {
 // min(GOMAXPROCS, 8)).
 func WithIngestWorkers(n int) SessionOption {
 	return func(s *Session) { s.ingestWork = n }
-}
-
-// WithIngestBudget bounds the memory the streaming loader buffers before
-// spilling sorted triple runs to temp segments (default 256 MiB).
-func WithIngestBudget(bytes int64) SessionOption {
-	return func(s *Session) { s.ingestBudget = bytes }
 }
 
 // WithSingleShotLoad restores the sequential in-memory load path for
@@ -168,11 +161,11 @@ func NewSession(opts ...SessionOption) *Session {
 // Load parses one knowledge base into the session (the first call loads
 // ontology 1, the second ontology 2) and returns the frozen ontology.
 // N-Triples sources load through the streaming parallel pipeline
-// (internal/ingest): block-parallel parsing under a memory budget, spilling
-// sorted runs to temp segments when a dump outgrows it, with per-block
-// progress through WithLoadProgress. The context cancels a long load per
-// block, so multi-GB dumps do not have to parse to completion after the
-// caller has given up, and any temp segments are removed.
+// (internal/ingest): blocks parse in parallel and feed the ontology builder
+// in input order, so memory holds a few blocks per parser rather than the
+// dump, with per-block progress through WithLoadProgress. The context
+// cancels a long load per block, so multi-GB dumps do not have to parse to
+// completion after the caller has given up.
 func (s *Session) Load(ctx context.Context, src Source) (*Ontology, error) {
 	if len(s.ontos) >= 2 {
 		return nil, ErrTooManySources
@@ -196,7 +189,7 @@ func (s *Session) Load(ctx context.Context, src Source) (*Ontology, error) {
 	}
 	var opts []store.LoadOption
 	if !s.singleShot {
-		opts = append(opts, store.WithParallelism(s.ingestWork), store.WithMemoryBudget(s.ingestBudget))
+		opts = append(opts, store.WithParallelism(s.ingestWork))
 		if s.loadProgress != nil {
 			opts = append(opts, store.WithLoadProgress(s.loadProgress))
 		}

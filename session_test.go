@@ -325,7 +325,6 @@ func TestSessionLoadProgressAndIngestOptions(t *testing.T) {
 	s := NewSession(
 		WithLoadProgress(func(p LoadProgress) { events = append(events, p) }),
 		WithIngestWorkers(2),
-		WithIngestBudget(1<<20),
 	)
 	if _, err := s.Load(ctx, FromReader("left", "nt", strings.NewReader(kb1))); err != nil {
 		t.Fatal(err)
