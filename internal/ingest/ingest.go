@@ -14,12 +14,19 @@
 // Memory is bounded by a read-ahead window, not by the dump: the scanner
 // stalls once 2×Workers parsed or pending blocks wait for the consumer, so a
 // multi-GB dump passes through a few blocks at a time.
+//
+// Each block is copied once, from the scanner's reused read buffer into a
+// string; the IRIs, blank labels and unescaped literal values of its triples
+// are substrings of that string. The consumer hands every emitted block's
+// triple slice back to the parse workers, so a run allocates about one
+// triple slice per window slot rather than one per block.
 package ingest
 
 import (
 	"context"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -114,6 +121,11 @@ type task struct {
 // promptly), or emit's error. Blocks before a failing block may already
 // have reached emit when Run returns the error, so a caller must discard
 // what it built from them.
+//
+// emit receives each triple by value: the slice it came from is reused for
+// a later block once emit has seen the whole block. Its terms' strings are
+// substrings of the block (escaped literals and IRIs aside), so a consumer
+// that keeps one must copy it or keep the whole block alive.
 func Run(ctx context.Context, r io.Reader, opts Options, emit func(rdf.Triple) error) (Progress, error) {
 	opts = opts.withDefaults()
 	pctx, cancel := context.WithCancel(ctx)
@@ -135,6 +147,9 @@ func Run(ctx context.Context, r io.Reader, opts Options, emit func(rdf.Triple) e
 	window := 2 * opts.Workers
 	order := make(chan *task, window)
 	work := make(chan *task, window)
+	// free returns emitted triple slices to the workers. It has room for
+	// one per window slot and worker; a slice that finds it full is dropped.
+	free := make(chan []rdf.Triple, window+opts.Workers)
 	send := func(ch chan<- *task, t *task) bool {
 		select {
 		case ch <- t:
@@ -175,9 +190,14 @@ func Run(ctx context.Context, r io.Reader, opts Options, emit func(rdf.Triple) e
 				// Once the run is over, drain without parsing.
 				t.err = pctx.Err()
 				if t.err == nil {
-					t.triples, t.skipped, t.err = parseBlock(t.b, opts)
+					var out []rdf.Triple
+					select {
+					case out = <-free:
+					default:
+					}
+					t.triples, t.skipped, t.err = parseBlock(t.b, opts, out)
 				}
-				t.b.Data = nil
+				t.b.Data = ""
 				close(t.done)
 			}
 		}()
@@ -211,6 +231,10 @@ func Run(ctx context.Context, r io.Reader, opts Options, emit func(rdf.Triple) e
 		p.Bytes += int64(t.size)
 		p.Triples += int64(len(t.triples))
 		p.Skipped += t.skipped
+		select {
+		case free <- t.triples:
+		default:
+		}
 		p.Elapsed = time.Since(start)
 		if opts.Progress != nil {
 			opts.Progress(p)
@@ -225,13 +249,18 @@ func Run(ctx context.Context, r io.Reader, opts Options, emit func(rdf.Triple) e
 // malformed lines), plus the corruption checks that are always fatal: a
 // per-line length bound, bare carriage returns, and invalid UTF-8 in IRIs.
 //
-// The block is converted to a string once; lines, and the terms parsed
-// from them, are substrings of it. A consumer that keeps a term beyond the
-// triple's lifetime must copy it (store.Builder does, on first sight), or
-// it keeps the whole block alive.
-func parseBlock(b Block, opts Options) ([]rdf.Triple, int64, error) {
-	data := string(b.Data)
-	out := make([]rdf.Triple, 0, strings.Count(data, "\n")+1)
+// Lines, and the IRIs, blank labels and unescaped literal values parsed
+// from them, are substrings of the block's string. A consumer that keeps a
+// term beyond the triple's lifetime must copy it (store.Builder does, on
+// first sight), or it keeps the whole block alive.
+//
+// The triples overwrite out, a slice recycled from an earlier block, which
+// is grown to the block's line count when it is too small. Whatever is left
+// of out's earlier triples is cleared, so they do not keep their block alive.
+func parseBlock(b Block, opts Options, out []rdf.Triple) ([]rdf.Triple, int64, error) {
+	data := b.Data
+	stale := len(out)
+	out = slices.Grow(out[:0], strings.Count(data, "\n")+1)
 	var skipped int64
 	lineNo := b.Line - 1
 	for off := 0; off < len(data); {
@@ -272,7 +301,7 @@ func parseBlock(b Block, opts Options) ([]rdf.Triple, int64, error) {
 			skipped++
 			continue
 		}
-		if iri, bad := invalidIRI(t); bad {
+		if iri, bad := invalidIRI(&t); bad {
 			return nil, 0, &Error{
 				Offset: b.Offset + int64(lineStart), Line: lineNo,
 				Msg: "IRI " + iri, Err: ErrInvalidUTF8,
@@ -280,13 +309,16 @@ func parseBlock(b Block, opts Options) ([]rdf.Triple, int64, error) {
 		}
 		out = append(out, t)
 	}
+	if n := len(out); n < stale {
+		clear(out[n:stale])
+	}
 	return out, skipped, nil
 }
 
 // invalidIRI reports the first IRI term of t whose bytes are not valid
 // UTF-8 (quoted, for the error message).
-func invalidIRI(t rdf.Triple) (string, bool) {
-	for _, term := range []rdf.Term{t.Subject, t.Predicate, t.Object} {
+func invalidIRI(t *rdf.Triple) (string, bool) {
+	for _, term := range [...]*rdf.Term{&t.Subject, &t.Predicate, &t.Object} {
 		if term.IsIRI() && !utf8.ValidString(term.Value) {
 			return quoteLossy(term.Value), true
 		}

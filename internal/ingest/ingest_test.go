@@ -345,6 +345,32 @@ func TestPipelineEmitErrorStopsMerge(t *testing.T) {
 	}
 }
 
+// TestParseBlockRecycledSlice: a block parsed into a slice recycled from a
+// longer block gets exactly its own triples in that slice, and the earlier
+// block's triples past the new end are cleared, so they cannot keep the
+// earlier block's string alive.
+func TestParseBlockRecycledSlice(t *testing.T) {
+	opts := Options{}.withDefaults()
+	first, _, err := parseBlock(Block{Line: 1, Data: genDoc(20)}, opts, nil)
+	if err != nil || len(first) < 2 {
+		t.Fatalf("first block: %d triples, %v", len(first), err)
+	}
+	doc := "<http://x/a> <http://x/p> \"v\" .\n"
+	got, _, err := parseBlock(Block{Line: 1, Data: doc}, opts, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTriples(t, sequential(t, doc), got)
+	if &got[0] != &first[0] {
+		t.Error("the recycled slice was not reused")
+	}
+	for i, tr := range first[len(got):] {
+		if tr != (rdf.Triple{}) {
+			t.Fatalf("stale triple %d of the earlier block survives: %v", len(got)+i, tr)
+		}
+	}
+}
+
 func TestPipelineEmptyAndCommentOnlyInput(t *testing.T) {
 	for name, doc := range map[string]string{
 		"empty":        "",

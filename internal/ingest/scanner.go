@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 )
 
 // Default scanner geometry. Blocks are the unit of parallelism (one parse
@@ -27,12 +29,13 @@ type Block struct {
 	Seq    int
 	Offset int64 // byte offset of Data[0] in the (decompressed) stream
 	Line   int   // 1-based line number of the first line in Data
-	Data   []byte
+	Data   string
 }
 
 // BlockScanner splits a byte stream into line-aligned Blocks. It reads the
-// source strictly forward with one fixed-size read buffer per block; the
-// only state carried between blocks is the partial final line.
+// source strictly forward into one reused buffer and emits each block as a
+// string, the block's only copy; the partial final line moves to the front
+// of the buffer and starts the next block.
 //
 // A line longer than maxLine fails with a typed *Error (ErrOversizedLine)
 // naming the line's byte offset: in a line-based format, a run of input
@@ -48,7 +51,8 @@ type BlockScanner struct {
 	offset int64  // stream offset of the next block
 	line   int    // lines emitted so far
 	seq    int    // blocks emitted so far
-	carry  []byte // partial final line of the previous read
+	buf    []byte // read buffer; buf[:n] is input not yet emitted
+	n      int    // length of the partial final line carried in buf
 	done   bool   // source reached EOF
 	err    error  // sticky failure
 }
@@ -66,30 +70,28 @@ func NewBlockScanner(r io.Reader, blockSize, maxLine int) *BlockScanner {
 }
 
 // Next returns the next line-aligned block, or io.EOF when the stream is
-// exhausted. The returned Block's Data is owned by the caller. Errors are
-// sticky.
+// exhausted. Errors are sticky.
 func (s *BlockScanner) Next() (Block, error) {
 	if s.err != nil {
 		return Block{}, s.err
 	}
 	start := s.offset
-	buf := s.carry
-	s.carry = nil
 	for {
 		if s.done {
-			if len(buf) == 0 {
+			if s.n == 0 {
 				s.err = io.EOF
 				return Block{}, io.EOF
 			}
 			// Final block: the stream may legally end without a newline.
-			return s.emit(buf, start), nil
+			data := string(s.buf[:s.n])
+			s.n = 0
+			return s.emit(data, start), nil
 		}
-		// Read directly into the buffer's tail: one copy per payload byte,
-		// no per-block scratch allocation on this single-threaded path.
-		old := len(buf)
-		buf = append(buf, make([]byte, s.blockSize)...)
-		n, err := readFill(s.r, buf[old:])
-		buf = buf[:old+n]
+		// Read blockSize bytes after the carried partial line. The buffer
+		// grows only when the carry does not fit.
+		s.buf = slices.Grow(s.buf[:s.n], s.blockSize)[:s.n+s.blockSize]
+		m, err := readFill(s.r, s.buf[s.n:])
+		s.n += m
 		switch err {
 		case nil:
 		case io.EOF:
@@ -100,19 +102,20 @@ func (s *BlockScanner) Next() (Block, error) {
 			// gzip truncation (io.ErrUnexpectedEOF) into a clean-looking
 			// short read, silently accepting a cut-off dump.
 			s.err = &Error{
-				Offset: start + int64(len(buf)),
+				Offset: start + int64(s.n),
 				Msg:    "reading input",
 				Err:    err,
 			}
 			return Block{}, s.err
 		}
-		if i := bytes.LastIndexByte(buf, '\n'); i >= 0 {
-			s.carry = append(s.carry, buf[i+1:]...)
-			return s.emit(buf[:i+1], start), nil
+		if i := bytes.LastIndexByte(s.buf[:s.n], '\n'); i >= 0 {
+			data := string(s.buf[:i+1])
+			s.n = copy(s.buf, s.buf[i+1:s.n])
+			return s.emit(data, start), nil
 		}
 		// No newline in blockSize(+carry) bytes: a single line spanning
 		// blocks. Keep growing until it terminates or trips the line bound.
-		if len(buf) > s.maxLine {
+		if s.n > s.maxLine {
 			s.err = &Error{
 				Offset: start,
 				Line:   s.line + 1,
@@ -138,11 +141,11 @@ func readFill(r io.Reader, p []byte) (int, error) {
 	return n, nil
 }
 
-func (s *BlockScanner) emit(data []byte, start int64) Block {
+func (s *BlockScanner) emit(data string, start int64) Block {
 	b := Block{Seq: s.seq, Offset: start, Line: s.line + 1, Data: data}
 	s.seq++
 	s.offset = start + int64(len(data))
-	s.line += bytes.Count(data, []byte{'\n'})
+	s.line += strings.Count(data, "\n")
 	if len(data) > 0 && data[len(data)-1] != '\n' {
 		s.line++ // unterminated final line still counts
 	}

@@ -162,12 +162,37 @@ func (p *lineParser) term() (Term, error) {
 	}
 }
 
+// IRI body byte classes, combined with | by the scan in iri.
+const (
+	iriForbidden = 1 << iota // may not appear unescaped: space, tab, "{}|^`
+	iriBackslash             // may start a \u or \U escape
+	iriEnd                   // '>' closes the IRI
+)
+
+// iriClass classifies every byte value for the one-pass IRI scan.
+var iriClass = [256]uint8{
+	' ': iriForbidden, '\t': iriForbidden, '"': iriForbidden, '{': iriForbidden,
+	'}': iriForbidden, '|': iriForbidden, '^': iriForbidden, '`': iriForbidden,
+	'\\': iriBackslash,
+	'>':  iriEnd,
+}
+
+// iri parses an IRI in one pass over its body, which finds the closing '>'
+// and notes forbidden characters and backslashes on the way. The checks then
+// run in a fixed order — unterminated, empty, forbidden character, bad
+// escape — and only a body with a backslash is searched for escapes.
 func (p *lineParser) iri() (Term, error) {
-	p.pos++ // consume '<'
-	start := p.pos
-	for p.pos < len(p.s) && p.s[p.pos] != '>' {
-		p.pos++
+	start := p.pos + 1 // after '<'
+	s, i := p.s, start
+	var seen uint8
+	for ; i < len(s); i++ {
+		c := iriClass[s[i]]
+		if c == iriEnd {
+			break
+		}
+		seen |= c
 	}
+	p.pos = i
 	if p.pos >= len(p.s) {
 		return Term{}, p.errorf("unterminated IRI")
 	}
@@ -176,10 +201,10 @@ func (p *lineParser) iri() (Term, error) {
 	if value == "" {
 		return Term{}, p.errorf("empty IRI")
 	}
-	if strings.ContainsAny(value, " \t\"{}|^`") {
+	if seen&iriForbidden != 0 {
 		return Term{}, p.errorf("invalid character in IRI %q", value)
 	}
-	if strings.Contains(value, "\\u") || strings.Contains(value, "\\U") {
+	if seen&iriBackslash != 0 && (strings.Contains(value, "\\u") || strings.Contains(value, "\\U")) {
 		unescaped, err := unescape(value)
 		if err != nil {
 			return Term{}, p.errorf("bad IRI escape: %v", err)
@@ -209,34 +234,27 @@ func isTermBoundary(c byte) bool {
 	return c == ' ' || c == '\t' || c == '.' || c == '<' || c == '"'
 }
 
+// literal parses a quoted literal with its optional language tag or
+// datatype. A value without escapes is a substring of the line; only a value
+// with a backslash before its closing quote is decoded into a new string.
 func (p *lineParser) literal() (Term, error) {
-	p.pos++ // consume opening quote
-	var b strings.Builder
-	for {
-		if p.pos >= len(p.s) {
-			return Term{}, p.errorf("unterminated literal")
-		}
-		c := p.s[p.pos]
-		if c == '"' {
-			p.pos++
-			break
-		}
-		if c == '\\' {
-			if p.pos+1 >= len(p.s) {
-				return Term{}, p.errorf("dangling escape")
-			}
-			esc, n, err := decodeEscape(p.s[p.pos:])
-			if err != nil {
-				return Term{}, p.errorf("%v", err)
-			}
-			b.WriteString(esc)
-			p.pos += n
-			continue
-		}
-		b.WriteByte(c)
-		p.pos++
+	start := p.pos + 1 // after the opening quote
+	s, i := p.s, start
+	for i < len(s) && s[i] != '"' && s[i] != '\\' {
+		i++
 	}
-	t := Term{Kind: KindLiteral, Value: b.String()}
+	p.pos = i
+	var value string
+	if p.pos < len(p.s) && p.s[p.pos] == '"' {
+		value = p.s[start:p.pos]
+		p.pos++
+	} else {
+		var err error
+		if value, err = p.escapedLiteral(start); err != nil {
+			return Term{}, err
+		}
+	}
+	t := Term{Kind: KindLiteral, Value: value}
 	// Optional language tag or datatype.
 	if p.pos < len(p.s) {
 		switch p.s[p.pos] {
@@ -265,6 +283,38 @@ func (p *lineParser) literal() (Term, error) {
 		}
 	}
 	return t, nil
+}
+
+// escapedLiteral decodes a literal value that starts at start and has its
+// first backslash, or the end of the line, at the cursor. It leaves the
+// cursor after the closing quote.
+func (p *lineParser) escapedLiteral(start int) (string, error) {
+	var b strings.Builder
+	b.WriteString(p.s[start:p.pos])
+	for {
+		if p.pos >= len(p.s) {
+			return "", p.errorf("unterminated literal")
+		}
+		c := p.s[p.pos]
+		if c == '"' {
+			p.pos++
+			return b.String(), nil
+		}
+		if c == '\\' {
+			if p.pos+1 >= len(p.s) {
+				return "", p.errorf("dangling escape")
+			}
+			esc, n, err := decodeEscape(p.s[p.pos:])
+			if err != nil {
+				return "", p.errorf("%v", err)
+			}
+			b.WriteString(esc)
+			p.pos += n
+			continue
+		}
+		b.WriteByte(c)
+		p.pos++
+	}
 }
 
 func isAlnum(c byte) bool {

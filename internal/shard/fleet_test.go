@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -126,7 +127,14 @@ func TestFleetObservabilityDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Read to EOF before fetching the trace: the router's root span ends
+	// when its handler returns, and the response's last chunk is written
+	// only after that, so an unread body can leave the span still open.
+	_, err = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("traced batch read = %d", resp.StatusCode)
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -194,18 +193,18 @@ func (b *Builder) Build() *Ontology {
 		resourceByKey:  b.resourceByKey,
 		relationNames:  b.relationNames,
 		relationByName: b.relationByName,
-		litEdges:       make(map[Lit][]Edge),
 		classInsts:     make(map[Resource][]Resource),
 		classSubs:      make(map[Resource][]Resource),
 		classSupers:    make(map[Resource][]Resource),
 	}
 	o.relSupers = b.closedSuperProperties()
 	facts := b.closeSubProperties(o.relSupers)
-	facts = dedupFacts(facts)
+	facts = dedupFacts(facts, len(o.relationNames))
 	o.numFacts = len(facts)
 
 	b.buildSchema(o)
-	b.buildIndexes(o, facts)
+	o.relStmts = make([][]Stmt, len(o.relationNames))
+	o.addFacts(facts)
 	computeFunctionality(o)
 	return o
 }
@@ -278,24 +277,36 @@ func dedupRelations(rs []Relation) []Relation {
 	return rs[:w]
 }
 
-func dedupFacts(fs []fact) []fact {
+// dedupFacts sorts fs by (r, s, o) in place and drops duplicates. A
+// counting sort groups the facts by relation (numRels bounds the relation
+// IDs); each group is then sorted as packed s<<32|o words, which order like
+// (s, o).
+func dedupFacts(fs []fact, numRels int) []fact {
 	if len(fs) < 2 {
 		return fs
 	}
-	// Equal facts are identical, so an unstable sort yields one order.
-	slices.SortFunc(fs, func(a, b fact) int {
-		if c := cmp.Compare(a.r, b.r); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.s, b.s); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.o, b.o)
-	})
-	w := 1
-	for i := 1; i < len(fs); i++ {
-		if fs[i] != fs[i-1] {
-			fs[w] = fs[i]
+	start := make([]int, numRels+1)
+	for _, f := range fs {
+		start[f.r+1]++
+	}
+	for r := 1; r <= numRels; r++ {
+		start[r] += start[r-1]
+	}
+	keys := make([]uint64, len(fs))
+	next := slices.Clone(start[:numRels])
+	for _, f := range fs {
+		keys[next[f.r]] = uint64(f.s)<<32 | uint64(f.o)
+		next[f.r]++
+	}
+	w := 0
+	for r := 0; r < numRels; r++ {
+		group := keys[start[r]:start[r+1]]
+		slices.Sort(group)
+		for i, k := range group {
+			if i > 0 && k == group[i-1] {
+				continue
+			}
+			fs[w] = fact{s: Resource(k >> 32), r: Relation(r), o: Node(k)}
 			w++
 		}
 	}
@@ -340,20 +351,10 @@ func (b *Builder) buildSchema(o *Ontology) {
 	}
 
 	o.instTypes = make([][]Resource, n)
-	seenPair := make(map[uint64]bool, len(b.typeEdges)*2)
-	addType := func(inst, class Resource) {
-		key := uint64(inst)<<32 | uint64(class)
-		if seenPair[key] {
-			return
-		}
-		seenPair[key] = true
-		o.instTypes[inst] = append(o.instTypes[inst], class)
-		o.classInsts[class] = append(o.classInsts[class], inst)
-	}
 	for _, e := range b.typeEdges {
-		addType(e.inst, e.class)
+		o.addType(e.inst, e.class)
 		for _, sup := range closedSupers[e.class] {
-			addType(e.inst, sup)
+			o.addType(e.inst, sup)
 		}
 	}
 
@@ -380,43 +381,66 @@ func dedupResources(rs []Resource) []Resource {
 	return rs[:w]
 }
 
-// buildIndexes materializes inverse statements and builds the CSR adjacency,
-// the literal adjacency, and the per-relation statement lists.
-func (b *Builder) buildIndexes(o *Ontology, facts []fact) {
-	n := len(o.resourceKeys)
-
-	// Count edges per resource: each fact contributes one edge at its
-	// subject and, if the object is a resource, one inverse edge there.
-	counts := make([]uint32, n+1)
+// addFacts adds facts to the adjacency and the per-relation statement
+// lists: the base edge r(s, o) at s and the inverse edge r⁻¹(o, s) at o, in
+// fact order after each row's existing edges. One counting pass sizes both
+// CSRs, the resource one and the literal one, which then cover every
+// resource of the ontology and every literal of the shared table. Nothing is
+// sorted or deduplicated.
+func (o *Ontology) addFacts(facts []fact) {
+	resAdd := make([]uint32, len(o.resourceKeys))
+	litAdd := make([]uint32, o.lits.Len())
 	for _, f := range facts {
-		counts[f.s+1]++
-		if !f.o.IsLit() {
-			counts[f.o.Res()+1]++
+		resAdd[f.s]++
+		if f.o.IsLit() {
+			litAdd[f.o.Lit()]++
+		} else {
+			resAdd[f.o.Res()]++
 		}
 	}
-	for i := 1; i <= n; i++ {
-		counts[i] += counts[i-1]
-	}
-	o.edgeOff = counts
-	o.edges = make([]Edge, counts[n])
-	cursor := make([]uint32, n)
-
-	o.relStmts = make([][]Stmt, len(o.relationNames))
+	var resAt, litAt []uint32
+	o.edgeOff, o.edges, resAt = repack(o.edgeOff, o.edges, resAdd)
+	o.litOff, o.litEdges, litAt = repack(o.litOff, o.litEdges, litAdd)
 	for _, f := range facts {
-		// Base edge at subject.
-		pos := o.edgeOff[f.s] + cursor[f.s]
-		o.edges[pos] = Edge{Rel: f.r, To: f.o}
-		cursor[f.s]++
-		// Inverse edge at object.
+		o.edges[resAt[f.s]] = Edge{Rel: f.r, To: f.o}
+		resAt[f.s]++
+		inv := Edge{Rel: f.r.Inverse(), To: ResNode(f.s)}
 		if f.o.IsLit() {
 			l := f.o.Lit()
-			o.litEdges[l] = append(o.litEdges[l], Edge{Rel: f.r.Inverse(), To: ResNode(f.s)})
+			o.litEdges[litAt[l]] = inv
+			litAt[l]++
 		} else {
 			y := f.o.Res()
-			pos := o.edgeOff[y] + cursor[y]
-			o.edges[pos] = Edge{Rel: f.r.Inverse(), To: ResNode(f.s)}
-			cursor[y]++
+			o.edges[resAt[y]] = inv
+			resAt[y]++
 		}
 		o.relStmts[f.r.Base()] = append(o.relStmts[f.r.Base()], Stmt{S: ResNode(f.s), O: f.o})
 	}
+}
+
+// repack lays out a CSR over len(add) rows in which row x holds its edges
+// from the old CSR (off/edges, which may cover fewer rows, or none) followed
+// by room for add[x] more. It returns the new offsets and edges, and add
+// turned into a per-row cursor at the first free slot.
+func repack(off []uint32, edges []Edge, add []uint32) ([]uint32, []Edge, []uint32) {
+	n := len(add)
+	had := func(x int) uint32 {
+		if x+1 < len(off) {
+			return off[x+1] - off[x]
+		}
+		return 0
+	}
+	newOff := make([]uint32, n+1)
+	for x := 0; x < n; x++ {
+		newOff[x+1] = newOff[x] + had(x) + add[x]
+	}
+	newEdges := make([]Edge, newOff[n])
+	for x := 0; x < n; x++ {
+		k := had(x)
+		if k > 0 {
+			copy(newEdges[newOff[x]:], edges[off[x]:off[x+1]])
+		}
+		add[x] = newOff[x] + k
+	}
+	return newOff, newEdges, add
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/rdf"
 )
@@ -49,7 +50,9 @@ func (o *Ontology) ApplyDelta(triples []rdf.Triple) (int, error) {
 	// pre-delta adjacency, so they must run before any structural append.
 	touched := o.bumpFunArgs(facts, oldN)
 
-	o.applyFacts(facts, oldN)
+	// addFacts sizes the adjacency to every resource, those a type-only
+	// delta interns included, so Edges stays in bounds.
+	o.addFacts(facts)
 	classesChanged := o.applyTypeEdges(typeEdges)
 
 	for base := range touched {
@@ -176,7 +179,7 @@ func (o *Ontology) bumpFunArgs(facts []fact, oldN int) map[Relation]struct{} {
 // object of the base direction (possibly a literal).
 func (o *Ontology) hadStatement(r Relation, n Node, oldN int) bool {
 	if n.IsLit() {
-		for _, e := range o.litEdges[n.Lit()] {
+		for _, e := range o.LitEdges(n.Lit()) {
 			if e.Rel == r {
 				return true
 			}
@@ -207,63 +210,7 @@ func (o *Ontology) hasEdge(x Resource, e Edge) bool {
 
 // hasType reports whether inst already carries class (deductively closed).
 func (o *Ontology) hasType(inst, class Resource) bool {
-	for _, c := range o.instTypes[inst] {
-		if c == class {
-			return true
-		}
-	}
-	return false
-}
-
-// applyFacts re-packs the CSR adjacency with the delta edges merged in and
-// appends to the literal adjacency and per-relation statement lists. One
-// linear pass over old plus new edges; nothing is sorted or re-deduplicated.
-func (o *Ontology) applyFacts(facts []fact, oldN int) {
-	n := len(o.resourceKeys)
-	if len(facts) == 0 {
-		// A type-only delta can still intern resources; they get empty
-		// adjacency so Edges stays in bounds.
-		for len(o.edgeOff) < n+1 {
-			o.edgeOff = append(o.edgeOff, o.edgeOff[len(o.edgeOff)-1])
-		}
-		return
-	}
-	deltaDeg := make([]uint32, n)
-	for _, f := range facts {
-		deltaDeg[f.s]++
-		if !f.o.IsLit() {
-			deltaDeg[f.o.Res()]++
-		}
-	}
-	newOff := make([]uint32, n+1)
-	for i := 0; i < n; i++ {
-		var old uint32
-		if i < oldN {
-			old = o.edgeOff[i+1] - o.edgeOff[i]
-		}
-		newOff[i+1] = newOff[i] + old + deltaDeg[i]
-	}
-	edges := make([]Edge, newOff[n])
-	cursor := make([]uint32, n)
-	for i := 0; i < oldN; i++ {
-		seg := o.edges[o.edgeOff[i]:o.edgeOff[i+1]]
-		copy(edges[newOff[i]:], seg)
-		cursor[i] = uint32(len(seg))
-	}
-	for _, f := range facts {
-		edges[newOff[f.s]+cursor[f.s]] = Edge{Rel: f.r, To: f.o}
-		cursor[f.s]++
-		if f.o.IsLit() {
-			l := f.o.Lit()
-			o.litEdges[l] = append(o.litEdges[l], Edge{Rel: f.r.Inverse(), To: ResNode(f.s)})
-		} else {
-			y := f.o.Res()
-			edges[newOff[y]+cursor[y]] = Edge{Rel: f.r.Inverse(), To: ResNode(f.s)}
-			cursor[y]++
-		}
-		o.relStmts[f.r.Base()] = append(o.relStmts[f.r.Base()], Stmt{S: ResNode(f.s), O: f.o})
-	}
-	o.edgeOff, o.edges = newOff, edges
+	return slices.Contains(o.instTypes[inst], class)
 }
 
 // applyTypeEdges installs new rdf:type edges with the superclass closure of

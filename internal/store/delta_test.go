@@ -45,6 +45,23 @@ func fingerprint(o *Ontology) string {
 	sb.WriteString(strings.Join(resLines, "\n"))
 	sb.WriteString("\n")
 
+	var litLines []string
+	for i := 0; i < o.Literals().Len(); i++ {
+		l := Lit(i)
+		if !o.HasLiteral(l) {
+			continue
+		}
+		var edges []string
+		for _, e := range o.LitEdges(l) {
+			edges = append(edges, o.RelationName(e.Rel)+"->"+nodeKey(e.To))
+		}
+		sort.Strings(edges)
+		litLines = append(litLines, fmt.Sprintf("lit:%s edges=[%s]", o.Literals().Value(l), strings.Join(edges, ",")))
+	}
+	sort.Strings(litLines)
+	sb.WriteString(strings.Join(litLines, "\n"))
+	sb.WriteString("\n")
+
 	var funLines []string
 	for _, r := range o.Relations() {
 		funLines = append(funLines, fmt.Sprintf("%s n=%d fun=%.9f",
@@ -83,7 +100,9 @@ const deltaAddDoc = `<http://ex.org/e3> <http://ex.org/name> "lisa" .
 
 // TestApplyDeltaEquivalentToRebuild is the core delta-ingestion contract:
 // base + ApplyDelta must be observationally identical to a cold build on the
-// merged triple set — adjacency, statement lists, schema, functionalities.
+// merged triple set — adjacency, literal adjacency, statement lists, schema,
+// functionalities. The delta's new literals ("lisa", "memphis") lie past the
+// base's literal CSR, so the repack must grow it.
 func TestApplyDeltaEquivalentToRebuild(t *testing.T) {
 	base := parseNT(t, deltaBaseDoc)
 	add := parseNT(t, deltaAddDoc)

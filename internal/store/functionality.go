@@ -45,25 +45,46 @@ func (m FunMode) String() string {
 // o.funArgs with the distinct first-argument counts the harmonic mean is
 // derived from. ApplyDelta maintains both incrementally (fun(r) =
 // funArgs[r] / #statements), so deltas never rescan the statement lists.
+//
+// Distinct arguments are counted with mark arrays stamped per relation, one
+// for subjects and one for objects: a resource that is both subject and
+// object of a relation is a first argument in both directions.
 func computeFunctionality(o *Ontology) {
 	o.fun = make([]float64, len(o.relationNames))
 	o.funArgs = make([]int, len(o.relationNames))
+	subjMark := make([]uint32, len(o.resourceKeys)+o.lits.Len())
+	objMark := make([]uint32, len(subjMark))
 	for base := 0; base < len(o.relationNames); base += 2 {
 		stmts := o.relStmts[base]
 		if len(stmts) == 0 {
 			continue
 		}
-		subjs := make(map[Node]struct{}, len(stmts))
-		objs := make(map[Node]struct{}, len(stmts))
+		stamp := uint32(base/2 + 1)
+		subjs, objs := 0, 0
 		for _, st := range stmts {
-			subjs[st.S] = struct{}{}
-			objs[st.O] = struct{}{}
+			if i := o.markIndex(st.S); subjMark[i] != stamp {
+				subjMark[i] = stamp
+				subjs++
+			}
+			if i := o.markIndex(st.O); objMark[i] != stamp {
+				objMark[i] = stamp
+				objs++
+			}
 		}
-		o.funArgs[base] = len(subjs)
-		o.funArgs[base+1] = len(objs)
-		o.fun[base] = float64(len(subjs)) / float64(len(stmts))
-		o.fun[base+1] = float64(len(objs)) / float64(len(stmts))
+		o.funArgs[base] = subjs
+		o.funArgs[base+1] = objs
+		o.fun[base] = float64(subjs) / float64(len(stmts))
+		o.fun[base+1] = float64(objs) / float64(len(stmts))
 	}
+}
+
+// markIndex numbers a statement argument for computeFunctionality's mark
+// arrays: resources first, then the literals of the shared table.
+func (o *Ontology) markIndex(n Node) int {
+	if n.IsLit() {
+		return len(o.resourceKeys) + int(n.Lit())
+	}
+	return int(n.Res())
 }
 
 // FunctionalityWith computes the global functionality of every relation

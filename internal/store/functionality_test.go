@@ -44,6 +44,44 @@ func TestFunctionalityOfFunction(t *testing.T) {
 	}
 }
 
+// TestBuildFunctionalityCountsEachDirection: a resource that is both
+// subject and object of one relation is a first argument in each direction,
+// and a repeated literal object counts once. Build's counts must equal the
+// recomputation from the statement lists.
+func TestBuildFunctionalityCountsEachDirection(t *testing.T) {
+	o := buildFacts(t, [][3]string{
+		{"a", "knows", "b"},
+		{"b", "knows", "c"},
+		{"c", "knows", "a"},
+		{"a", "knows", "a"},
+		{"b", "knows", "a"},
+		{"a", "name", `"x`},
+		{"b", "name", `"x`},
+		{"c", "name", `"y`},
+		{"c", "name", `"x`},
+		{"b", "alias", `"x`},
+	})
+	want := o.FunctionalityWith(FunHarmonicMean)
+	for _, r := range o.Relations() {
+		if o.Fun(r) != want[r] {
+			t.Errorf("fun(%s) = %v after Build, %v recomputed", o.RelationName(r), o.Fun(r), want[r])
+		}
+	}
+	for _, c := range []struct {
+		rel         string
+		fun, invFun float64
+	}{
+		{"knows", 3.0 / 5, 3.0 / 5}, // subjects a,b,c; objects a,b,c
+		{"name", 3.0 / 4, 2.0 / 4},  // subjects a,b,c; objects "x","y"
+		{"alias", 1, 1},
+	} {
+		r, _ := o.LookupRelation(c.rel)
+		if o.Fun(r) != c.fun || o.InvFun(r) != c.invFun {
+			t.Errorf("%s: fun %v, fun⁻¹ %v; want %v, %v", c.rel, o.Fun(r), o.InvFun(r), c.fun, c.invFun)
+		}
+	}
+}
+
 func TestFunctionalityMultiValued(t *testing.T) {
 	// One person lives in two countries: fun = #subjects/#stmts = 1/2.
 	o := buildFacts(t, [][3]string{

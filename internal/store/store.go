@@ -141,8 +141,13 @@ type Ontology struct {
 	edgeOff []uint32
 	edges   []Edge
 
-	// Adjacency for literal first arguments (inverse statements only).
-	litEdges map[Lit][]Edge
+	// CSR adjacency over literal first arguments (inverse statements
+	// only): litEdges[litOff[l]:litOff[l+1]]. It covers the literals of the
+	// shared table when this ontology was built or last took a delta; a
+	// literal interned since, by the other ontology, lies past litOff and
+	// has no edges here.
+	litOff   []uint32
+	litEdges []Edge
 
 	// Per-relation statement lists; inverse relations share the base list
 	// and are iterated with arguments swapped.
@@ -242,12 +247,17 @@ func (o *Ontology) Edges(x Resource) []Edge {
 
 // LitEdges returns all statements with literal first argument l, i.e. the
 // inverse statements r⁻¹(l, x) of facts r(x, l). Callers must not mutate it.
-func (o *Ontology) LitEdges(l Lit) []Edge { return o.litEdges[l] }
+func (o *Ontology) LitEdges(l Lit) []Edge {
+	if int(l)+1 >= len(o.litOff) {
+		return nil
+	}
+	return o.litEdges[o.litOff[l]:o.litOff[l+1]]
+}
 
-// HasLiteral reports whether the literal occurs in this ontology.
+// HasLiteral reports whether the literal occurs in this ontology. A literal
+// that the other ontology interned after this one was built does not.
 func (o *Ontology) HasLiteral(l Lit) bool {
-	_, ok := o.litEdges[l]
-	return ok
+	return int(l)+1 < len(o.litOff) && o.litOff[l+1] > o.litOff[l]
 }
 
 // NumStatements returns the number of statements of relation r.

@@ -337,6 +337,39 @@ func TestSharedLiteralTableAcrossOntologies(t *testing.T) {
 	}
 }
 
+// TestLiteralInternedAfterBuild: the other ontology of an alignment interns
+// literals into the shared table after this one is built. Such a literal
+// lies past this ontology's literal CSR and must read as absent.
+func TestLiteralInternedAfterBuild(t *testing.T) {
+	lits := NewLiterals()
+	b1 := NewBuilder("o1", lits, nil)
+	b1.Add(rdf.T(ex("a"), ex("name"), rdf.Literal("Ann")))
+	o1 := b1.Build()
+	b2 := NewBuilder("o2", lits, nil)
+	b2.Add(rdf.T(ex("x"), ex("label"), rdf.Literal("Bob")))
+	b2.Add(rdf.T(ex("y"), ex("label"), rdf.Literal("Bob")))
+	o2 := b2.Build()
+	ann, _ := lits.Lookup("Ann")
+	bob, _ := lits.Lookup("Bob")
+	later := lits.Intern("Cy") // after both builds
+	for _, l := range []Lit{bob, later} {
+		if o1.HasLiteral(l) || len(o1.LitEdges(l)) != 0 {
+			t.Errorf("o1 reports literal %q, interned after its build", lits.Value(l))
+		}
+	}
+	// Inside o2's CSR but without edges there.
+	if o2.HasLiteral(ann) || len(o2.LitEdges(ann)) != 0 {
+		t.Error("o2 reports literal \"Ann\", which only o1 uses")
+	}
+	if !o2.HasLiteral(bob) || len(o2.LitEdges(bob)) != 2 {
+		t.Errorf("o2 literal \"Bob\": HasLiteral %v, %d edges, want true and 2",
+			o2.HasLiteral(bob), len(o2.LitEdges(bob)))
+	}
+	if o2.HasLiteral(later) || len(o2.LitEdges(later)) != 0 {
+		t.Error("o2 reports a literal interned after its build")
+	}
+}
+
 func TestStats(t *testing.T) {
 	o := mustBuild(t, `
 <http://ex.org/Elvis> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex.org/singer> .
