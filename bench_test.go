@@ -360,6 +360,40 @@ func BenchmarkSameAsLookupBatch(b *testing.B) {
 	})
 }
 
+// BenchmarkServerRestart times a daemon restart in process: server.New on a
+// state dir holding the world alignment (open the store, recover snapshots
+// and jobs, decode the newest snapshot, build its serving index), then
+// Close. It is the in-process cost behind perfbench's align setup_s.
+func BenchmarkServerRestart(b *testing.B) {
+	o1, o2, err := gen.World(gen.WorldConfig{Seed: benchOpt.Seed}).Build(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := core.New(o1, o2, core.Config{MaxIterations: 4}).Run()
+	dir := b.TempDir()
+	srv, err := server.New(server.Options{StateDir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := srv.PublishResult(res); err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv, err := server.New(server.Options{StateDir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQueryEngine times conjunctive queries over the aligned movies
 // union KB (ISSUE 7) with a warm plan cache, as the serving path answers
 // after the first request of a shape: a single-pattern scan and a cross-KB

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
@@ -33,8 +34,31 @@ func AlphaNum(t rdf.Term) string {
 	return AlphaNumString(t.Value)
 }
 
-// AlphaNumString applies the AlphaNum normalization to a raw string.
+// AlphaNumString applies the AlphaNum normalization to a raw string. ASCII
+// input is folded byte by byte; the first byte >= 0x80 (a multi-byte rune
+// or invalid UTF-8) hands the whole string to the Unicode loop, so the
+// result is the same either way. The shard partitioner hashes this fold,
+// so its output must never change.
 func AlphaNumString(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			return alphaNumRunes(s)
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+			b.WriteByte(c)
+		case 'A' <= c && c <= 'Z':
+			b.WriteByte(c + ('a' - 'A'))
+		}
+	}
+	return b.String()
+}
+
+// alphaNumRunes is AlphaNumString for input that is not all ASCII: it keeps
+// Unicode letters and digits, lowercased. An invalid byte decodes to
+// U+FFFD, which is neither, so it is dropped.
+func alphaNumRunes(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
 	for _, r := range s {

@@ -2,8 +2,10 @@ package literal
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -36,6 +38,54 @@ func TestAlphaNum(t *testing.T) {
 	if AlphaNumString("213/467-1108") != AlphaNumString("213-467-1108") {
 		t.Fatal("phone formats must normalize identically")
 	}
+}
+
+// refAlphaNumString is the rune-by-rune fold AlphaNumString used before it
+// gained its ASCII fast path, kept verbatim as the reference. The shard
+// partitioner hashes the fold, so any difference would move keys between
+// shards.
+func refAlphaNumString(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for _, r := range s {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			b.WriteRune(unicode.ToLower(r))
+		}
+	}
+	return b.String()
+}
+
+// FuzzAlphaNumString requires the fold to return exactly the reference's
+// string for any input, valid UTF-8 or not. CI runs it briefly as a smoke
+// lane on every push.
+func FuzzAlphaNumString(f *testing.F) {
+	ascii := make([]byte, 128)
+	for i := range ascii {
+		ascii[i] = byte(i)
+	}
+	for _, seed := range []string{
+		"",
+		string(ascii),
+		"<http://dbpedia.org/resource/Elvis_Presley>",
+		"http://ikb.example.org/name/NM0042",
+		"<http://dbpedia.org/resource/İstanbul>",
+		"ΣΟΦΙΑ",
+		"ǅemal",      // titlecase digraph
+		"item １２",    // fullwidth digits
+		"٠١٢٣٤٥٦٧٨٩", // Arabic-Indic digits
+		"Straße",
+		"300\u212a", // Kelvin sign, lowers to ASCII k
+		"\xff",
+		"ab\xffCD",
+		"Zürich-2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := AlphaNumString(s), refAlphaNumString(s); got != want {
+			t.Fatalf("AlphaNumString(%q) = %q, want %q", s, got, want)
+		}
+	})
 }
 
 func TestNumericNormalizer(t *testing.T) {

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -20,7 +22,9 @@ type Match struct {
 // snapshot. Readers obtain it through an atomic pointer and then work on
 // plain maps and slices that are never mutated after buildIndex returns —
 // the RCU discipline that keeps the read path lock-free: publishing a new
-// snapshot swaps the pointer, it never touches a live index.
+// snapshot swaps the pointer, it never touches a live index. The one
+// exception is the pair of normalized maps: they are written once, inside
+// normOnce, and read only after it.
 type index struct {
 	id        string
 	kb1, kb2  string
@@ -29,9 +33,15 @@ type index struct {
 	// fwd maps ontology-1 keys to their ontology-2 match; rev the reverse.
 	fwd, rev map[string]Match
 
+	// instances is the snapshot's assignment list, in snapshot order; the
+	// normalized maps are built from it.
+	instances []core.SnapshotAssignment
+
 	// normFwd and normRev map folded keys (lowercased, alphanumeric runes
 	// only) to the canonical keys they collapse from, the fallback for
-	// clients that do not know exact key syntax.
+	// clients that do not know exact key syntax. Only that fallback reads
+	// them, so the first normalized lookup builds them (normOnce).
+	normOnce         sync.Once
 	normFwd, normRev map[string][]string
 
 	relations12, relations21 []core.SnapshotRelation
@@ -39,8 +49,9 @@ type index struct {
 }
 
 // buildIndex constructs the serving index for one snapshot. It is the only
-// place index fields are written. The relation and class slices are sorted
-// here, once per snapshot, so the read handlers only filter.
+// place index fields are written, apart from the normalized maps
+// (buildNormalized). The relation and class slices are sorted here, once
+// per snapshot, so the read handlers only filter.
 func buildIndex(id string, snap *core.ResultSnapshot) *index {
 	ix := &index{
 		id:        id,
@@ -48,10 +59,9 @@ func buildIndex(id string, snap *core.ResultSnapshot) *index {
 		kb2:       snap.KB2,
 		createdAt: snap.CreatedAt,
 
-		fwd:     make(map[string]Match, len(snap.Instances)),
-		rev:     make(map[string]Match, len(snap.Instances)),
-		normFwd: make(map[string][]string, len(snap.Instances)),
-		normRev: make(map[string][]string, len(snap.Instances)),
+		fwd:       make(map[string]Match, len(snap.Instances)),
+		rev:       make(map[string]Match, len(snap.Instances)),
+		instances: snap.Instances,
 
 		relations12: snap.Relations12,
 		relations21: snap.Relations21,
@@ -65,15 +75,8 @@ func buildIndex(id string, snap *core.ResultSnapshot) *index {
 		// the reverse entry deterministic: highest probability, then
 		// smallest key.
 		m := Match{Key: a.Key1, P: a.P}
-		old, seen := ix.rev[a.Key2]
-		if !seen || m.P > old.P || (m.P == old.P && m.Key < old.Key) {
+		if old, seen := ix.rev[a.Key2]; !seen || m.P > old.P || (m.P == old.P && m.Key < old.Key) {
 			ix.rev[a.Key2] = m
-		}
-		n1 := foldKey(a.Key1)
-		ix.normFwd[n1] = append(ix.normFwd[n1], a.Key1)
-		if !seen { // Key1 is unique per instance; Key2 may repeat
-			n2 := foldKey(a.Key2)
-			ix.normRev[n2] = append(ix.normRev[n2], a.Key2)
 		}
 	}
 	sortScores(ix.relations12, func(r core.SnapshotRelation) (string, float64) { return r.Sub, r.P })
@@ -82,6 +85,31 @@ func buildIndex(id string, snap *core.ResultSnapshot) *index {
 	sortScores(ix.classes21, func(c core.SnapshotClass) (string, float64) { return c.Sub, c.P })
 	return ix
 }
+
+// buildNormalized fills normFwd and normRev, walking the assignments in
+// snapshot order: normFwd lists every Key1 (unique per assignment), normRev
+// each Key2 the first time it appears. A repeated Key2 folds to the list
+// that already holds it, so the membership test scans no more keys than a
+// lookup of that fold returns. Runs once per index, inside normOnce.
+func (ix *index) buildNormalized() {
+	ix.normFwd = make(map[string][]string, len(ix.instances))
+	ix.normRev = make(map[string][]string, len(ix.instances))
+	for _, a := range ix.instances {
+		n1 := foldKey(a.Key1)
+		ix.normFwd[n1] = append(ix.normFwd[n1], a.Key1)
+		n2 := foldKey(a.Key2)
+		if !slices.Contains(ix.normRev[n2], a.Key2) {
+			ix.normRev[n2] = append(ix.normRev[n2], a.Key2)
+		}
+	}
+	if testNormalizedBuilt != nil {
+		testNormalizedBuilt(ix)
+	}
+}
+
+// testNormalizedBuilt, when non-nil, runs after buildNormalized fills an
+// index's maps. Tests use it to count builds.
+var testNormalizedBuilt func(*index)
 
 // sortScores orders by descending probability, then sub key, the order the
 // relations and classes endpoints serve.
@@ -116,9 +144,11 @@ func (ix *index) lookup(fwd bool, key string) (Match, bool) {
 }
 
 // lookupNormalized resolves key through the folded-key maps, returning every
-// match whose canonical key collapses to the same folded form. The caller
-// caches the result; the index itself stays immutable.
+// match whose canonical key collapses to the same folded form, in snapshot
+// order. The first call on an index builds the maps; concurrent first
+// callers wait for that one build. The caller caches the result.
 func (ix *index) lookupNormalized(fwd bool, key string) []Match {
+	ix.normOnce.Do(ix.buildNormalized)
 	norm, exact := ix.normFwd, ix.fwd
 	if !fwd {
 		norm, exact = ix.normRev, ix.rev

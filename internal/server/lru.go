@@ -7,8 +7,9 @@ import (
 
 // lruCache memoizes normalized-key lookups on the read path. The hot exact
 // path never touches it (exact hits resolve through the immutable index with
-// no locks at all); the cache only shields the slower fold-and-scan fallback,
-// so a plain mutex is contention-appropriate.
+// no locks at all); the cache only fronts the normalized fallback, which is
+// one key fold and a map lookup (plus, once per index, building the folded
+// maps), so a plain mutex is contention-appropriate.
 type lruCache struct {
 	mu     sync.Mutex
 	cap    int

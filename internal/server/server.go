@@ -179,9 +179,10 @@ type Server struct {
 	onto2    *store.Ontology
 
 	// pinned caches serving indexes of non-current snapshots requested via
-	// ?snapshot= (repeatable reads), bounded by maxPinnedIndexes. Guarded
-	// by mu.
-	pinned map[string]*index
+	// ?snapshot= (repeatable reads), bounded by maxPinnedIndexes. An entry
+	// is inserted before its index is built, so concurrent readers of one
+	// snapshot build it once. Guarded by mu.
+	pinned map[string]*pinnedIndex
 
 	// engines caches query engines over per-snapshot union KBs for
 	// POST /v1/query, bounded by maxQueryEngines. Guarded by mu.
@@ -203,6 +204,11 @@ type Server struct {
 	// job transitions to running and before alignment starts. Tests use it
 	// to observe the running state deterministically.
 	testBeforeAlign func(id string)
+
+	// testPinnedLookup, when non-nil, runs in indexFor after a pinned read
+	// takes its cache entry and before it waits or builds; build is true
+	// for the one reader that loads and builds the index.
+	testPinnedLookup func(id string, build bool)
 }
 
 // New opens (or creates) the state directory, recovers all persisted
@@ -237,7 +243,7 @@ func New(opts Options) (*Server, error) {
 		store:    st,
 		unlock:   unlock,
 		cache:    newLRU(opts.CacheSize),
-		pinned:   make(map[string]*index),
+		pinned:   make(map[string]*pinnedIndex),
 		engines:  make(map[string]*query.Engine),
 		deltaDir: filepath.Join(opts.StateDir, "deltas"),
 		started:  time.Now().UTC(),
@@ -869,19 +875,63 @@ func (s *Server) indexFor(snapID string) (*index, int, error) {
 		return cur, 0, nil
 	}
 	s.mu.Lock()
-	if ix, ok := s.pinned[snapID]; ok {
-		s.mu.Unlock()
-		return ix, 0, nil
+	p, ok := s.pinned[snapID]
+	if !ok {
+		if !slices.ContainsFunc(s.snaps, func(info SnapshotInfo) bool { return info.ID == snapID }) {
+			s.mu.Unlock()
+			return nil, http.StatusNotFound, fmt.Errorf("unknown snapshot %q", snapID)
+		}
+		for len(s.pinned) >= maxPinnedIndexes {
+			// Evict an arbitrary entry; pinned readers are few and rebuilds
+			// are cheap relative to the alignment that produced them.
+			for id := range s.pinned {
+				delete(s.pinned, id)
+				break
+			}
+		}
+		p = &pinnedIndex{ready: make(chan struct{})}
+		s.pinned[snapID] = p
 	}
-	known := slices.ContainsFunc(s.snaps, func(info SnapshotInfo) bool { return info.ID == snapID })
 	s.mu.Unlock()
-	if !known {
-		return nil, http.StatusNotFound, fmt.Errorf("unknown snapshot %q", snapID)
+	if s.testPinnedLookup != nil {
+		s.testPinnedLookup(snapID, !ok)
+	}
+	if ok {
+		// The entry may still be pending: wait for the reader that
+		// inserted it rather than building the snapshot's index again.
+		<-p.ready
+		return p.ix, p.code, p.err
 	}
 	// Load and build outside the lock: the diskstore synchronizes its own
 	// reads, and rebuilding a large snapshot's index must not stall
-	// publish or the other mu-guarded endpoints. Concurrent misses on the
-	// same snapshot may build twice; last writer wins, both are correct.
+	// publish or the other mu-guarded endpoints.
+	p.ix, p.code, p.err = s.loadPinned(snapID)
+	if p.err != nil {
+		// Every waiter gets the error, but the next reader tries again.
+		s.mu.Lock()
+		if s.pinned[snapID] == p {
+			delete(s.pinned, snapID)
+		}
+		s.mu.Unlock()
+	}
+	close(p.ready)
+	return p.ix, p.code, p.err
+}
+
+// pinnedIndex is one entry of the pinned-index cache. The reader that
+// inserts it builds the index; readers of the same snapshot that arrive
+// meanwhile wait on ready. ix, code and err are written once, before ready
+// is closed.
+type pinnedIndex struct {
+	ready chan struct{}
+	ix    *index
+	code  int
+	err   error
+}
+
+// loadPinned decodes a non-current snapshot and builds its index, returning
+// the HTTP status to report on failure.
+func (s *Server) loadPinned(snapID string) (*index, int, error) {
 	snap, err := diskstore.LoadSnapshot(s.store, snapID)
 	if errors.Is(err, diskstore.ErrNotFound) {
 		// Retired by the GC between the known-check and the load.
@@ -890,19 +940,7 @@ func (s *Server) indexFor(snapID string) (*index, int, error) {
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("loading snapshot %s: %w", snapID, err)
 	}
-	ix := buildIndex(snapID, snap)
-	s.mu.Lock()
-	for len(s.pinned) >= maxPinnedIndexes {
-		// Evict an arbitrary entry; pinned readers are few and rebuilds
-		// are cheap relative to the alignment that produced them.
-		for id := range s.pinned {
-			delete(s.pinned, id)
-			break
-		}
-	}
-	s.pinned[snapID] = ix
-	s.mu.Unlock()
-	return ix, 0, nil
+	return buildIndex(snapID, snap), 0, nil
 }
 
 // rejectOnShard answers job- and delta-submission requests on a shard: a

@@ -15,9 +15,13 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/diskstore"
 	"repro/internal/gen"
 )
 
@@ -313,6 +317,112 @@ func TestSnapshotPinning(t *testing.T) {
 		map[string]any{"kb": "1", "keys": []string{pairs[0][0]}}, &batch); code != http.StatusOK ||
 		batch.Snapshot != first.Snapshot || batch.Found != 1 {
 		t.Fatalf("pinned batch = %d %+v", code, batch)
+	}
+}
+
+// pinnedStampede starts `readers` concurrent indexFor calls for snapID at
+// once. The hook holds each building reader until every reader has taken
+// its cache entry, then runs beforeBuild. It returns each reader's result
+// and how many readers built.
+func pinnedStampede(t *testing.T, srv *Server, snapID string, readers int, beforeBuild func()) (ixs []*index, codes []int, errs []error, builds int) {
+	t.Helper()
+	var calls, built atomic.Int32
+	all := make(chan struct{})
+	srv.testPinnedLookup = func(_ string, build bool) {
+		if calls.Add(1) == int32(readers) {
+			close(all)
+		}
+		if !build {
+			return
+		}
+		built.Add(1)
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			t.Errorf("only %d of %d readers reached indexFor", calls.Load(), readers)
+		}
+		beforeBuild()
+	}
+	defer func() { srv.testPinnedLookup = nil }()
+	ixs, codes, errs = make([]*index, readers), make([]int, readers), make([]error, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			ixs[r], codes[r], errs[r] = srv.indexFor(snapID)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	return ixs, codes, errs, int(built.Load())
+}
+
+// TestPinnedIndexSingleFlight: 16 readers of a cold, non-current snapshot
+// arrive together; exactly one loads and indexes it and all 16 get that
+// index. A failed build reaches every waiter and is not cached.
+func TestPinnedIndexSingleFlight(t *testing.T) {
+	srv, err := New(Options{StateDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	snap := func(key string) *core.ResultSnapshot {
+		return &core.ResultSnapshot{KB1: "a", KB2: "b", Instances: []core.SnapshotAssignment{
+			{Key1: "<a:" + key + ">", Key2: "<b:" + key + ">", P: 0.9},
+		}}
+	}
+	first, err := srv.publish(snap("one"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.publish(snap("two")); err != nil {
+		t.Fatal(err)
+	}
+	const readers = 16
+
+	ixs, _, errs, builds := pinnedStampede(t, srv, first, readers, func() {})
+	if builds != 1 {
+		t.Fatalf("%d readers built the pinned index, want 1", builds)
+	}
+	for r := range readers {
+		if errs[r] != nil || ixs[r] != ixs[0] || ixs[r].id != first {
+			t.Fatalf("reader %d got (%p, %v), reader 0 got %p for %s", r, ixs[r], errs[r], ixs[0], first)
+		}
+	}
+	if ix, _, err := srv.indexFor(first); err != nil || ix != ixs[0] {
+		t.Fatalf("later pinned read got (%p, %v), want the cached %p", ix, err, ixs[0])
+	}
+
+	// Evict the entry, then retire the snapshot from the store while its
+	// rebuild is held: every waiter sees the 404 and the failure is not
+	// cached, so the next reader builds again.
+	srv.mu.Lock()
+	delete(srv.pinned, first)
+	srv.mu.Unlock()
+	_, codes, errs, builds := pinnedStampede(t, srv, first, readers, func() {
+		if err := diskstore.DeleteSnapshot(srv.store, first); err != nil {
+			t.Error(err)
+		}
+	})
+	if builds != 1 {
+		t.Fatalf("%d readers built the failing index, want 1", builds)
+	}
+	for r := range readers {
+		if errs[r] == nil || codes[r] != http.StatusNotFound {
+			t.Fatalf("reader %d: status %d, err %v; want 404", r, codes[r], errs[r])
+		}
+	}
+	srv.mu.Lock()
+	_, cached := srv.pinned[first]
+	srv.mu.Unlock()
+	if cached {
+		t.Fatal("failed build left a pinned cache entry")
+	}
+	if _, _, _, builds := pinnedStampede(t, srv, first, 1, func() {}); builds != 1 {
+		t.Fatalf("read after a failed build: %d builds, want 1", builds)
 	}
 }
 

@@ -84,6 +84,22 @@ func TestPartitionerStableAssignment(t *testing.T) {
 		{key: "<http://person1.example.org/person42>", n: 3, owner: 1},
 		{key: "<http://person1.example.org/person42>", n: 5, owner: 1},
 		{key: "", n: 3, owner: 2},
+		// Non-ASCII keys take the fold's Unicode path; these owners were
+		// recorded with the rune-by-rune fold, before the ASCII fast path.
+		{key: "<http://dbpedia.org/resource/Zürich>", n: 3, owner: 0},
+		{key: "<http://dbpedia.org/resource/Zürich>", n: 5, owner: 1},
+		{key: "<http://dbpedia.org/resource/İstanbul>", n: 3, owner: 0},
+		{key: "<http://dbpedia.org/resource/İstanbul>", n: 5, owner: 2},
+		{key: "<http://el.example.org/ΣΟΦΙΑ>", n: 3, owner: 0},
+		{key: "<http://el.example.org/ΣΟΦΙΑ>", n: 5, owner: 1},
+		{key: "<http://example.org/item/１２>", n: 3, owner: 0}, // fullwidth 12
+		{key: "<http://example.org/item/１２>", n: 5, owner: 3},
+		{key: "<http://ar.example.org/١٢>", n: 3, owner: 0}, // Arabic-Indic 12
+		{key: "<http://ar.example.org/١٢>", n: 5, owner: 4},
+		{key: "<http://example.org/temp/300\u212a>", n: 3, owner: 2}, // Kelvin sign folds to k
+		{key: "<http://example.org/temp/300\u212a>", n: 5, owner: 0},
+		{key: "<http://example.org/bad\xffbyte>", n: 3, owner: 0}, // invalid UTF-8
+		{key: "<http://example.org/bad\xffbyte>", n: 5, owner: 1},
 	}
 	for _, tc := range golden {
 		p, err := NewPartitioner(tc.n)
