@@ -1,9 +1,8 @@
 package paris
 
-// One benchmark per table and figure of the paper's evaluation section (see
-// DESIGN.md Section 4). Each benchmark runs the same workload as the
-// corresponding cmd/parisbench experiment, so `go test -bench=.` times every
-// reproduced artifact. Corpora are generated once per benchmark and the
+// One benchmark per table and figure of the paper's evaluation section.
+// Each benchmark runs the same workload as the corresponding cmd/parisbench
+// experiment, so `go test -bench=.` times every reproduced artifact. Corpora are generated once per benchmark and the
 // aligner runs once per b.N iteration.
 
 import (

@@ -31,8 +31,6 @@ func alignAndReport(d *gen.Dataset, norm paris.Normalizer, cfg paris.Config) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// AlignContext is the error-returning, cancellable form of the
-	// deprecated paris.Align.
 	res, err := paris.AlignContext(context.Background(), o1, o2, cfg)
 	if err != nil {
 		log.Fatal(err)

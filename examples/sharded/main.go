@@ -39,7 +39,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := paris.Align(o1, o2, paris.Config{})
+	res, err := paris.AlignContext(ctx, o1, o2, paris.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	snap := res.Snapshot()
 	fmt.Printf("aligned %s vs %s: %d instance pairs\n", snap.KB1, snap.KB2, len(snap.Instances))
 

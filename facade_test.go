@@ -5,6 +5,7 @@ package paris
 
 import (
 	"compress/gzip"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,7 +67,10 @@ func TestLoadFileGzip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Align(o1, o2, Config{})
+	res, err := AlignContext(context.Background(), o1, o2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Instances) != 1 || res.Instances[0].P != 1 {
 		t.Fatalf("gzipped alignment = %v", res.Instances)
 	}

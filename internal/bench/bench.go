@@ -1,7 +1,8 @@
 // Package bench implements the reproduction harness: one function per table
-// and figure of the paper's evaluation section (see DESIGN.md Section 4 for
-// the experiment index). cmd/parisbench prints the results in the paper's
-// format; the root-level Go benchmarks time the same workloads.
+// and figure of the paper's evaluation section (the runners table in
+// cmd/parisbench indexes them by experiment name). cmd/parisbench prints the
+// results in the paper's format; the root-level Go benchmarks time the same
+// workloads.
 package bench
 
 import (

@@ -157,7 +157,9 @@ func TestThetaSweepInvariance(t *testing.T) {
 		t.Fatal("default θ missing from sweep")
 	}
 	// The paper's claim holds for θ within two orders of magnitude of the
-	// default on this corpus (see EXPERIMENTS.md for the θ=0.001 note).
+	// default on this corpus. At θ = 0.001 it does not: `parisbench -exp
+	// theta` (seed 42) prints a max relation-score deviation of 0.0561 from
+	// θ = 0.1, and instance recall falls from 83.5% to 62.1%.
 	for _, r := range results {
 		if r.Theta < 0.01 {
 			continue

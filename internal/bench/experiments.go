@@ -15,8 +15,8 @@ import (
 	"repro/internal/store"
 )
 
-// Options scales the harness. The zero value reproduces the default
-// configuration reported in EXPERIMENTS.md.
+// Options scales the harness. The zero value is parisbench's default run:
+// seed 42, scale 1.
 type Options struct {
 	// Seed drives the dataset generators. Zero means 42.
 	Seed int64

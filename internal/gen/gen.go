@@ -4,8 +4,9 @@
 // those dumps are redistributable, so each generator reproduces the
 // statistical shape PARIS is sensitive to — functionalities, literal overlap
 // and noise, schema granularity mismatch, instance overlap — at a
-// configurable scale, together with an exact gold standard (see DESIGN.md
-// Section 3 for the substitution rationale).
+// configurable scale, together with an exact gold standard. Each
+// generator's Config type names the paper corpus it stands in for and the
+// traits it keeps.
 //
 // All generators are deterministic for a fixed seed.
 package gen

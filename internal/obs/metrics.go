@@ -4,8 +4,8 @@
 // lightweight cross-process request tracing (trace/span IDs propagated via
 // the X-Paris-Trace header and emitted as structured span logs). Every
 // process of a deployment — aligner, shard, router — owns one Registry and
-// serves it on GET /metrics; the parisbench load generator scrapes those
-// endpoints to record server-side deltas alongside client-side latency.
+// serves it on GET /metrics; perfbench scrapes the router's to report its
+// failover and hedge counters beside client-side latency.
 //
 // The package is deliberately hand-rolled: the repository's tier-1 tests
 // stay hermetic (no client_golang), and the hot-path cost of an instrument

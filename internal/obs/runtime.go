@@ -96,8 +96,7 @@ func (rm *RuntimeMetrics) val(name string) (metrics.Value, bool) {
 }
 
 // Update reads the runtime and refreshes every instrument. Called on each
-// registry scrape; safe to call directly (the load generator samples
-// between scrapes for peak tracking).
+// registry scrape; safe to call directly.
 func (rm *RuntimeMetrics) Update() {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -41,9 +42,27 @@ func scrapeMetrics(t *testing.T, base string) string {
 	return string(body)
 }
 
+// metricValue returns the value of one series in an exposition, or 0 when
+// the series is absent (a labeled counter that never moved).
+func metricValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("parsing %s value %q: %v", series, rest, err)
+			}
+			return v
+		}
+	}
+	return 0
+}
+
 // TestMetricsEndToEnd drives one alignment job plus lookups through the API
 // and checks the exposition covers every layer: HTTP, jobs, ingest,
-// fixpoint, and serving-state families, under their stable names.
+// fixpoint, serving-state and Go runtime families, under their stable
+// names. Concurrent read traffic of every kind must then move
+// paris_lookups_total by exactly the keys it looked up.
 func TestMetricsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	d := writePersonsKB(t, dir, 30)
@@ -86,6 +105,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"paris_lookups_total 2",
 		"paris_snapshots 1",
 		"paris_snapshots_published_total 1",
+		// Go runtime, refreshed on scrape.
+		"paris_go_gc_cycles_total ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
@@ -103,6 +124,55 @@ func TestMetricsEndToEnd(t *testing.T) {
 				t.Errorf("fixpoint iteration counter stayed zero")
 			}
 		}
+	}
+	for _, gauge := range []string{"paris_go_goroutines", "paris_go_heap_inuse_bytes"} {
+		if v := metricValue(t, text, gauge); v <= 0 {
+			t.Errorf("%s = %v, want > 0", gauge, v)
+		}
+	}
+
+	// Read traffic from several goroutines at once: single GETs on gold
+	// keys, 64-key batches, and normalized misses (an upper-cased key plus a
+	// suffix, so the exact and the folded lookup both miss).
+	var keys []string
+	for _, p := range d.Gold.Pairs() {
+		keys = append(keys, p[0])
+	}
+	const workers, gets, batches, misses, batchKeys = 4, 8, 2, 4, 64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range gets {
+				k := keys[(w*gets+i)%len(keys)]
+				if code := doJSON(t, http.MethodGet, ts.URL+"/v1/sameas?kb=1&key="+queryEscape(k), nil, nil); code != http.StatusOK {
+					t.Errorf("GET gold key %s: %d", k, code)
+				}
+			}
+			for i := range batches {
+				batch := make([]string, batchKeys)
+				for j := range batch {
+					batch[j] = keys[(w*batches*batchKeys+i*batchKeys+j)%len(keys)]
+				}
+				if code := doJSON(t, http.MethodPost, ts.URL+"/v1/sameas",
+					map[string]any{"kb": "1", "keys": batch}, nil); code != http.StatusOK {
+					t.Errorf("batch POST: %d", code)
+				}
+			}
+			for i := range misses {
+				k := strings.ToUpper(keys[(w*misses+i)%len(keys)]) + "/nope" + strconv.Itoa(i)
+				if code := doJSON(t, http.MethodGet, ts.URL+"/v1/sameas?kb=1&key="+queryEscape(k), nil, nil); code != http.StatusNotFound {
+					t.Errorf("normalized miss %s: %d, want 404", k, code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after := scrapeMetrics(t, ts.URL)
+	want := float64(workers * (gets + batchKeys*batches + misses))
+	if got := metricValue(t, after, "paris_lookups_total") - metricValue(t, text, "paris_lookups_total"); got != want {
+		t.Errorf("paris_lookups_total rose by %v, want %v (GETs + 64 per batch + misses)", got, want)
 	}
 }
 

@@ -175,18 +175,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // engineFor returns the query engine over snapID's union KB, building and
-// caching it on first use. The build needs the snapshot's ontology pair —
-// the aligner's retained pair when it matches, otherwise the same lineage
-// reconstruction delta jobs use — and deep-copies everything it keeps, so
-// the cached engine stays valid while later delta jobs extend the
-// ontologies in place.
+// caching it on first use; concurrent first queries of one snapshot share
+// one build. The build needs the snapshot's ontology pair — the aligner's
+// retained pair when it matches, otherwise the same lineage reconstruction
+// delta jobs use — and deep-copies everything it keeps, so the cached
+// engine stays valid while later delta jobs extend the ontologies in place.
 func (s *Server) engineFor(ctx context.Context, snapID string) (*query.Engine, error) {
-	s.mu.Lock()
-	eng, ok := s.engines[snapID]
-	s.mu.Unlock()
-	if ok {
-		return eng, nil
-	}
+	// Callers that arrive during the build wait on it, so one client's
+	// disconnect must not cancel it under them.
+	ctx = context.WithoutCancel(ctx)
+	return buildOnce(s, s.engines, maxQueryEngines, snapID, func() (*query.Engine, error) {
+		return s.buildEngine(ctx, snapID)
+	})
+}
+
+// buildEngine builds snapID's union KB and a query engine over it.
+func (s *Server) buildEngine(ctx context.Context, snapID string) (*query.Engine, error) {
 	// deltaMu serializes against delta jobs: they mutate the cached
 	// ontology pair in place, and query.Build must observe a consistent
 	// view of it. The build copies what it keeps, so the lock is released
@@ -210,24 +214,7 @@ func (s *Server) engineFor(ctx context.Context, snapID string) (*query.Engine, e
 	if err != nil {
 		return nil, err
 	}
-	built := query.NewEngine(kb, 0)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if eng, ok := s.engines[snapID]; ok {
-		// A concurrent request built the same engine first; keep the one
-		// already serving so its plan cache survives.
-		return eng, nil
-	}
-	for len(s.engines) >= maxQueryEngines {
-		// Evict an arbitrary entry, as the pinned-index cache does: engines
-		// are rebuildable and pinned queriers are few.
-		for id := range s.engines {
-			delete(s.engines, id)
-			break
-		}
-	}
-	s.engines[snapID] = built
 	s.opts.Logf("server: built union KB for %s: %d clusters, %d statements",
 		snapID, kb.NumClusters(), kb.NumStatements())
-	return built, nil
+	return query.NewEngine(kb, 0), nil
 }

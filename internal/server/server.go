@@ -179,14 +179,13 @@ type Server struct {
 	onto2    *store.Ontology
 
 	// pinned caches serving indexes of non-current snapshots requested via
-	// ?snapshot= (repeatable reads), bounded by maxPinnedIndexes. An entry
-	// is inserted before its index is built, so concurrent readers of one
-	// snapshot build it once. Guarded by mu.
-	pinned map[string]*pinnedIndex
-
-	// engines caches query engines over per-snapshot union KBs for
-	// POST /v1/query, bounded by maxQueryEngines. Guarded by mu.
-	engines map[string]*query.Engine
+	// ?snapshot= (repeatable reads), bounded by maxPinnedIndexes. engines
+	// caches query engines over per-snapshot union KBs for POST /v1/query,
+	// bounded by maxQueryEngines. Both are filled through buildOnce, so
+	// concurrent callers of one snapshot build its value once. Guarded by
+	// mu.
+	pinned  map[string]*cacheEntry[*index]
+	engines map[string]*cacheEntry[*query.Engine]
 
 	// uploads marks KB upload names with a request currently streaming
 	// into their spool. Guarded by mu.
@@ -205,10 +204,10 @@ type Server struct {
 	// to observe the running state deterministically.
 	testBeforeAlign func(id string)
 
-	// testPinnedLookup, when non-nil, runs in indexFor after a pinned read
-	// takes its cache entry and before it waits or builds; build is true
-	// for the one reader that loads and builds the index.
-	testPinnedLookup func(id string, build bool)
+	// testCacheLookup, when non-nil, runs in buildOnce after a caller takes
+	// its entry of the pinned-index or query-engine cache and before it
+	// waits or builds; build is true for the one caller that builds.
+	testCacheLookup func(id string, build bool)
 }
 
 // New opens (or creates) the state directory, recovers all persisted
@@ -243,8 +242,8 @@ func New(opts Options) (*Server, error) {
 		store:    st,
 		unlock:   unlock,
 		cache:    newLRU(opts.CacheSize),
-		pinned:   make(map[string]*pinnedIndex),
-		engines:  make(map[string]*query.Engine),
+		pinned:   make(map[string]*cacheEntry[*index]),
+		engines:  make(map[string]*cacheEntry[*query.Engine]),
 		deltaDir: filepath.Join(opts.StateDir, "deltas"),
 		started:  time.Now().UTC(),
 		reg:      reg,
@@ -874,73 +873,76 @@ func (s *Server) indexFor(snapID string) (*index, int, error) {
 		}
 		return cur, 0, nil
 	}
-	s.mu.Lock()
-	p, ok := s.pinned[snapID]
-	if !ok {
-		if !slices.ContainsFunc(s.snaps, func(info SnapshotInfo) bool { return info.ID == snapID }) {
-			s.mu.Unlock()
-			return nil, http.StatusNotFound, fmt.Errorf("unknown snapshot %q", snapID)
-		}
-		for len(s.pinned) >= maxPinnedIndexes {
-			// Evict an arbitrary entry; pinned readers are few and rebuilds
-			// are cheap relative to the alignment that produced them.
-			for id := range s.pinned {
-				delete(s.pinned, id)
-				break
-			}
-		}
-		p = &pinnedIndex{ready: make(chan struct{})}
-		s.pinned[snapID] = p
+	if _, ok := s.snapshotInfoByID(snapID); !ok {
+		return nil, http.StatusNotFound, fmt.Errorf("unknown snapshot %q", snapID)
 	}
-	s.mu.Unlock()
-	if s.testPinnedLookup != nil {
-		s.testPinnedLookup(snapID, !ok)
-	}
-	if ok {
-		// The entry may still be pending: wait for the reader that
-		// inserted it rather than building the snapshot's index again.
-		<-p.ready
-		return p.ix, p.code, p.err
-	}
-	// Load and build outside the lock: the diskstore synchronizes its own
+	// Load and build outside s.mu: the diskstore synchronizes its own
 	// reads, and rebuilding a large snapshot's index must not stall
 	// publish or the other mu-guarded endpoints.
-	p.ix, p.code, p.err = s.loadPinned(snapID)
-	if p.err != nil {
-		// Every waiter gets the error, but the next reader tries again.
-		s.mu.Lock()
-		if s.pinned[snapID] == p {
-			delete(s.pinned, snapID)
+	ix, err := buildOnce(s, s.pinned, maxPinnedIndexes, snapID, func() (*index, error) {
+		snap, err := diskstore.LoadSnapshot(s.store, snapID)
+		if err != nil {
+			return nil, err
 		}
-		s.mu.Unlock()
+		return buildIndex(snapID, snap), nil
+	})
+	switch {
+	case errors.Is(err, diskstore.ErrNotFound):
+		// Retired by the GC between the known-check and the load.
+		return nil, http.StatusNotFound, fmt.Errorf("unknown snapshot %q", snapID)
+	case err != nil:
+		return nil, http.StatusInternalServerError, fmt.Errorf("loading snapshot %s: %w", snapID, err)
 	}
-	close(p.ready)
-	return p.ix, p.code, p.err
+	return ix, 0, nil
 }
 
-// pinnedIndex is one entry of the pinned-index cache. The reader that
-// inserts it builds the index; readers of the same snapshot that arrive
-// meanwhile wait on ready. ix, code and err are written once, before ready
-// is closed.
-type pinnedIndex struct {
+// cacheEntry is one entry of a build-once cache (Server.pinned,
+// Server.engines). The caller that inserts it builds the value; callers of
+// the same key that arrive meanwhile wait on ready. val and err are written
+// once, before ready is closed.
+type cacheEntry[V any] struct {
 	ready chan struct{}
-	ix    *index
-	code  int
+	val   V
 	err   error
 }
 
-// loadPinned decodes a non-current snapshot and builds its index, returning
-// the HTTP status to report on failure.
-func (s *Server) loadPinned(snapID string) (*index, int, error) {
-	snap, err := diskstore.LoadSnapshot(s.store, snapID)
-	if errors.Is(err, diskstore.ErrNotFound) {
-		// Retired by the GC between the known-check and the load.
-		return nil, http.StatusNotFound, fmt.Errorf("unknown snapshot %q", snapID)
+// buildOnce returns the value cache holds for key, running build on a miss.
+// Concurrent callers of one key share one build: the caller that inserts
+// the pending entry builds outside s.mu, and the others wait for it. A
+// failed build reaches every waiter and leaves the cache, so the next
+// caller builds again. A miss on a full cache evicts an arbitrary entry:
+// the values are rebuildable and their readers few.
+func buildOnce[V any](s *Server, cache map[string]*cacheEntry[V], limit int, key string, build func() (V, error)) (V, error) {
+	s.mu.Lock()
+	e, ok := cache[key]
+	if !ok {
+		for len(cache) >= limit {
+			for k := range cache {
+				delete(cache, k)
+				break
+			}
+		}
+		e = &cacheEntry[V]{ready: make(chan struct{})}
+		cache[key] = e
 	}
-	if err != nil {
-		return nil, http.StatusInternalServerError, fmt.Errorf("loading snapshot %s: %w", snapID, err)
+	s.mu.Unlock()
+	if s.testCacheLookup != nil {
+		s.testCacheLookup(key, !ok)
 	}
-	return buildIndex(snapID, snap), 0, nil
+	if ok {
+		<-e.ready
+		return e.val, e.err
+	}
+	e.val, e.err = build()
+	if e.err != nil {
+		s.mu.Lock()
+		if cache[key] == e {
+			delete(cache, key)
+		}
+		s.mu.Unlock()
+	}
+	close(e.ready)
+	return e.val, e.err
 }
 
 // rejectOnShard answers job- and delta-submission requests on a shard: a

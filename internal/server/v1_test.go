@@ -26,30 +26,34 @@ import (
 )
 
 // doJSON issues one request with an optional JSON body and decodes a 2xx
-// response into out.
+// response into out. It reports failures with t.Errorf and returns 0 for a
+// request that got no response, so any goroutine may call it.
 func doJSON(t *testing.T, method, url string, body any, out any) int {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return 0
 		}
 		rd = bytes.NewReader(data)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	if out != nil && resp.StatusCode < 300 {
 		if err := json.Unmarshal(raw, out); err != nil {
-			t.Fatalf("decoding %s %s: %v\n%s", method, url, err, raw)
+			t.Errorf("decoding %s %s: %v\n%s", method, url, err, raw)
 		}
 	}
 	return resp.StatusCode
@@ -320,16 +324,16 @@ func TestSnapshotPinning(t *testing.T) {
 	}
 }
 
-// pinnedStampede starts `readers` concurrent indexFor calls for snapID at
-// once. The hook holds each building reader until every reader has taken
-// its cache entry, then runs beforeBuild. It returns each reader's result
-// and how many readers built.
-func pinnedStampede(t *testing.T, srv *Server, snapID string, readers int, beforeBuild func()) (ixs []*index, codes []int, errs []error, builds int) {
+// cacheStampede runs call(0) … call(callers-1) concurrently, each meant to
+// miss the same build-once cache entry at once. The hook holds each
+// building caller until every caller has taken its cache entry, then runs
+// beforeBuild. It returns how many callers built.
+func cacheStampede(t *testing.T, srv *Server, callers int, beforeBuild func(), call func(r int)) int {
 	t.Helper()
 	var calls, built atomic.Int32
 	all := make(chan struct{})
-	srv.testPinnedLookup = func(_ string, build bool) {
-		if calls.Add(1) == int32(readers) {
+	srv.testCacheLookup = func(_ string, build bool) {
+		if calls.Add(1) == int32(callers) {
 			close(all)
 		}
 		if !build {
@@ -339,25 +343,35 @@ func pinnedStampede(t *testing.T, srv *Server, snapID string, readers int, befor
 		select {
 		case <-all:
 		case <-time.After(10 * time.Second):
-			t.Errorf("only %d of %d readers reached indexFor", calls.Load(), readers)
+			t.Errorf("only %d of %d callers reached the cache", calls.Load(), callers)
 		}
 		beforeBuild()
 	}
-	defer func() { srv.testPinnedLookup = nil }()
-	ixs, codes, errs = make([]*index, readers), make([]int, readers), make([]error, readers)
+	defer func() { srv.testCacheLookup = nil }()
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for r := range readers {
+	for r := range callers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			ixs[r], codes[r], errs[r] = srv.indexFor(snapID)
+			call(r)
 		}()
 	}
 	close(start)
 	wg.Wait()
-	return ixs, codes, errs, int(built.Load())
+	return int(built.Load())
+}
+
+// pinnedStampede starts `readers` concurrent indexFor calls for snapID at
+// once and returns each reader's result and how many readers built.
+func pinnedStampede(t *testing.T, srv *Server, snapID string, readers int, beforeBuild func()) (ixs []*index, codes []int, errs []error, builds int) {
+	t.Helper()
+	ixs, codes, errs = make([]*index, readers), make([]int, readers), make([]error, readers)
+	builds = cacheStampede(t, srv, readers, beforeBuild, func(r int) {
+		ixs[r], codes[r], errs[r] = srv.indexFor(snapID)
+	})
+	return ixs, codes, errs, builds
 }
 
 // TestPinnedIndexSingleFlight: 16 readers of a cold, non-current snapshot

@@ -9,7 +9,9 @@ package shard_test
 // replicas as scrape failures (paris_fleet_up 0), not errors. And /v1/slo
 // shows zero error-budget burn for the degraded-but-serving route families:
 // the failovers the requests absorbed are retained for debugging but are
-// not user-visible failures.
+// not user-visible failures. The router's lookup counter moves by exactly
+// the keys it routed (GETs, normalized misses, batch keys), and its
+// federated series agree.
 
 import (
 	"context"
@@ -19,6 +21,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +107,7 @@ func TestFleetObservabilityDegraded(t *testing.T) {
 	// Degraded traffic: every read still answers 200 (failover absorbs the
 	// dead replicas), and it seeds the SLO windows whose burn the fleet
 	// report must later show as zero.
+	lookupsBefore := counterValue(t, rt, "paris_router_lookups_total")
 	for _, p := range pairs {
 		// A 404 is a served answer (the alignment has no entry), not an
 		// outage: anything but 200/404 means the kill leaked to the client.
@@ -111,6 +115,24 @@ func TestFleetObservabilityDegraded(t *testing.T) {
 			t.Fatalf("degraded read %q = %d %s", p[0], r.code, r.body)
 		}
 	}
+	// Normalized misses (an upper-cased key plus a suffix, so the exact and
+	// the folded lookup both miss) and a 64-key batch scattered over every
+	// group.
+	const misses = 8
+	for i := range misses {
+		k := strings.ToUpper(keys[i%len(keys)]) + "/nope" + strconv.Itoa(i)
+		if r := get(t, rts.URL, "/v1/sameas?kb=1&key="+url.QueryEscape(k)); r.code != http.StatusNotFound {
+			t.Fatalf("degraded normalized miss %q = %d %s, want 404", k, r.code, r.body)
+		}
+	}
+	batch := make([]string, 64)
+	for i := range batch {
+		batch[i] = keys[i%len(keys)]
+	}
+	if r := post(t, rts.URL, "/v1/sameas", batchBody("1", batch)); r.code != http.StatusOK {
+		t.Fatalf("degraded batch read = %d %s", r.code, r.body)
+	}
+	issued := len(pairs) + misses + len(batch)
 	if v := counterValue(t, rt, "paris_router_failovers_total"); v < 1 {
 		t.Fatalf("paris_router_failovers_total = %v, want >= 1 (the kill was invisible)", v)
 	}
@@ -138,6 +160,7 @@ func TestFleetObservabilityDegraded(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("traced batch read = %d", resp.StatusCode)
 	}
+	issued += len(keys)
 
 	// Machine side: GET /debug/traces/{trace} on the router is the stitched
 	// union of every participant's span records.
@@ -242,11 +265,22 @@ func TestFleetObservabilityDegraded(t *testing.T) {
 	}
 
 	// ---- Metrics federation: dead replicas are data, not errors. ----
+	// The router counts every key it routed, batch keys and misses
+	// included, and the federated view reports the same count.
+	lookups := counterValue(t, rt, "paris_router_lookups_total")
+	if got := lookups - lookupsBefore; got != float64(issued) {
+		t.Errorf("paris_router_lookups_total rose by %v, want %d (keys issued)", got, issued)
+	}
 	metRes := get(t, rts.URL, "/v1/fleet/metrics")
 	if metRes.code != http.StatusOK {
 		t.Fatalf("/v1/fleet/metrics = %d with half the fleet down, want 200", metRes.code)
 	}
 	exposition := string(metRes.body)
+	for _, series := range []string{`paris_router_lookups_total{instance="router"}`, "fleet:paris_router_lookups_total"} {
+		if got := seriesValue(t, exposition, series); got != lookups {
+			t.Errorf("fleet exposition %s = %v, want the router's %v", series, got, lookups)
+		}
+	}
 	wantLines := []string{
 		`paris_fleet_up{instance="router"} 1`,
 		`paris_router_lookups_total{instance="router"}`,

@@ -28,11 +28,18 @@ func counterValue(t *testing.T, rt *shard.Router, name string) float64 {
 	t.Helper()
 	var b strings.Builder
 	rt.MetricsRegistry().WriteText(&b)
-	for _, line := range strings.Split(b.String(), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+	return seriesValue(t, b.String(), name)
+}
+
+// seriesValue returns the value of one series in a metrics exposition, or 0
+// when the series is absent.
+func seriesValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
 			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 			if err != nil {
-				t.Fatalf("parsing %s value %q: %v", name, rest, err)
+				t.Fatalf("parsing %s value %q: %v", series, rest, err)
 			}
 			return v
 		}

@@ -28,8 +28,9 @@
 //
 // The two ontologies of an alignment must share one literal table so that
 // the clamped literal-equality function of Section 5.3 is an identity
-// check; a Session maintains that invariant itself, while the deprecated
-// free functions (LoadFile, Align) leave it to the caller.
+// check. A Session maintains that invariant itself; ontologies loaded with
+// LoadFile must be given the same Literals, and AlignContext reports a
+// mismatch as a *LiteralTableError.
 package paris
 
 import (
@@ -151,28 +152,6 @@ func NewGold() *Gold { return eval.NewGold() }
 // recovering all previously completed alignments. Expose its Handler over
 // HTTP (as cmd/parisd does) and Close it to flush state.
 func NewServer(opts ServerOptions) (*Server, error) { return server.New(opts) }
-
-// Align runs the full PARIS fixpoint over two frozen ontologies and returns
-// instance, relation, and class alignments. It panics if the ontologies do
-// not share a literal table.
-//
-// Deprecated: use Session.Align or AlignContext, which take a
-// context.Context for cancellation and report the literal-table mismatch as
-// a *LiteralTableError instead of panicking.
-func Align(o1, o2 *Ontology, cfg Config) *Result {
-	return core.New(o1, o2, cfg).Run()
-}
-
-// NewAligner returns an aligner for step-by-step execution (per-iteration
-// inspection, custom convergence policies). It panics if the ontologies do
-// not share a literal table.
-//
-// Deprecated: use Session.Aligner, which returns an error instead of
-// panicking; drive the result with StepContext/RunContext for
-// cancellation.
-func NewAligner(o1, o2 *Ontology, cfg Config) *Aligner {
-	return core.New(o1, o2, cfg)
-}
 
 // MaxRelAlignments reduces a directed relation-alignment list to the
 // maximally assigned super-relation per sub-relation.

@@ -1,6 +1,7 @@
 package paris
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,7 +45,10 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Align(o1, o2, Config{})
+	res, err := AlignContext(context.Background(), o1, o2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Instances) != 1 {
 		t.Fatalf("instances = %v", res.Instances)
 	}
@@ -156,7 +160,10 @@ func TestEndToEndFilePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Align(o1, o2, Config{})
+	res, err := AlignContext(context.Background(), o1, o2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := gold.Evaluate(res.InstanceMap())
 	if m.F1 < 0.99 {
 		t.Fatalf("pipeline quality degraded: %s", m)
@@ -165,10 +172,17 @@ func TestEndToEndFilePipeline(t *testing.T) {
 
 func TestNewAlignerStepwise(t *testing.T) {
 	p1, p2 := writeFiles(t)
-	lits := NewLiterals()
-	o1, _ := LoadFile(p1, "kb1", lits, nil)
-	o2, _ := LoadFile(p2, "kb2", lits, nil)
-	a := NewAligner(o1, o2, Config{})
+	ctx := context.Background()
+	s := NewSession()
+	for _, p := range []string{p1, p2} {
+		if _, err := s.Load(ctx, FromFile(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := s.Aligner()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s1 := a.Step(1)
 	if s1.Assigned != 1 {
 		t.Fatalf("step 1 assigned = %d", s1.Assigned)
