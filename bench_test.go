@@ -2,8 +2,9 @@ package paris
 
 // One benchmark per table and figure of the paper's evaluation section.
 // Each benchmark runs the same workload as the corresponding cmd/parisbench
-// experiment, so `go test -bench=.` times every reproduced artifact. Corpora are generated once per benchmark and the
-// aligner runs once per b.N iteration.
+// experiment, so `go test -bench=.` times every reproduced artifact. Corpora
+// are generated once per benchmark and the aligner runs once per b.N
+// iteration.
 
 import (
 	"bytes"

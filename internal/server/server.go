@@ -873,9 +873,6 @@ func (s *Server) indexFor(snapID string) (*index, int, error) {
 		}
 		return cur, 0, nil
 	}
-	if _, ok := s.snapshotInfoByID(snapID); !ok {
-		return nil, http.StatusNotFound, fmt.Errorf("unknown snapshot %q", snapID)
-	}
 	// Load and build outside s.mu: the diskstore synchronizes its own
 	// reads, and rebuilding a large snapshot's index must not stall
 	// publish or the other mu-guarded endpoints.
@@ -887,8 +884,9 @@ func (s *Server) indexFor(snapID string) (*index, int, error) {
 		return buildIndex(snapID, snap), nil
 	})
 	switch {
-	case errors.Is(err, diskstore.ErrNotFound):
-		// Retired by the GC between the known-check and the load.
+	case errors.Is(err, errUnknownSnapshot), errors.Is(err, diskstore.ErrNotFound):
+		// ErrNotFound: retired by the GC between the known-check and the
+		// load.
 		return nil, http.StatusNotFound, fmt.Errorf("unknown snapshot %q", snapID)
 	case err != nil:
 		return nil, http.StatusInternalServerError, fmt.Errorf("loading snapshot %s: %w", snapID, err)
@@ -906,16 +904,27 @@ type cacheEntry[V any] struct {
 	err   error
 }
 
-// buildOnce returns the value cache holds for key, running build on a miss.
-// Concurrent callers of one key share one build: the caller that inserts
-// the pending entry builds outside s.mu, and the others wait for it. A
-// failed build reaches every waiter and leaves the cache, so the next
-// caller builds again. A miss on a full cache evicts an arbitrary entry:
-// the values are rebuildable and their readers few.
+// errUnknownSnapshot is buildOnce's answer for a snapshot ID s.snaps does
+// not list.
+var errUnknownSnapshot = errors.New("unknown snapshot")
+
+// buildOnce returns the value cache holds for snapshot key, running build
+// on a miss. Concurrent callers of one key share one build: the caller that
+// inserts the pending entry builds outside s.mu, and the others wait for
+// it. A failed build reaches every waiter and leaves the cache, so the next
+// caller builds again. A miss on a snapshot s.snaps does not list fails
+// with errUnknownSnapshot and inserts nothing. A miss on a full cache
+// evicts an arbitrary entry: the values are rebuildable and their readers
+// few.
 func buildOnce[V any](s *Server, cache map[string]*cacheEntry[V], limit int, key string, build func() (V, error)) (V, error) {
 	s.mu.Lock()
 	e, ok := cache[key]
 	if !ok {
+		if !slices.ContainsFunc(s.snaps, func(info SnapshotInfo) bool { return info.ID == key }) {
+			s.mu.Unlock()
+			var zero V
+			return zero, errUnknownSnapshot
+		}
 		for len(cache) >= limit {
 			for k := range cache {
 				delete(cache, k)

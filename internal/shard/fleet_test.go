@@ -352,13 +352,13 @@ func TestFleetObservabilityDegraded(t *testing.T) {
 	}
 	assertNoBurn(local, "router")
 
-	fleetRes := get(t, rts.URL, "/v1/slo?fleet=1")
-	if fleetRes.code != http.StatusOK {
-		t.Fatalf("/v1/slo?fleet=1 = %d %s", fleetRes.code, fleetRes.body)
-	}
-	var fleet obs.FleetSLO
-	if err := json.Unmarshal(fleetRes.body, &fleet); err != nil {
+	rc, err := client.New(rts.URL)
+	if err != nil {
 		t.Fatal(err)
+	}
+	fleet, err := rc.FleetSLO(ctx)
+	if err != nil {
+		t.Fatalf("FleetSLO: %v", err)
 	}
 	if fleet.Instance != "fleet" {
 		t.Errorf("merged SLO instance %q, want fleet", fleet.Instance)

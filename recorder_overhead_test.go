@@ -103,17 +103,13 @@ func TestRecorderOverheadOnLookupPath(t *testing.T) {
 		t.Fatalf("recorded side has no SLO accounting: %d %s", w.Code, w.Body)
 	}
 
-	// Many short rounds, interleaved, min of each side: the minimum is the
-	// round least disturbed by the scheduler and the garbage collector, and
-	// interleaving keeps thermal/GC drift from loading one side. A round is
-	// ~1 ms, so even while other test binaries share the CPU, many rounds
-	// of each side run undisturbed; with 2000-request rounds every round
-	// took a GC cycle or a preemption, and the minima wandered by more than
-	// the 5% being guarded.
-	const warmup, iters, rounds = 500, 100, 400
+	const warmup, iters, rounds = 500, 2000, 7
 	timeLookups(t, withRec, urls, warmup)
 	timeLookups(t, without, urls, warmup)
 
+	// Min-of-rounds, interleaved: the minimum is the run least disturbed by
+	// the scheduler, and interleaving keeps thermal/GC drift from loading
+	// one side.
 	minWith, minWithout := time.Duration(1<<62), time.Duration(1<<62)
 	for r := 0; r < rounds; r++ {
 		if d := timeLookups(t, withRec, urls, iters); d < minWith {
