@@ -1,7 +1,8 @@
 package ingest_test
 
-// Differential acceptance: the streaming parallel pipeline and the legacy
-// single-pass loader must be indistinguishable — identical ontologies
+// Differential acceptance: the streaming parallel pipeline behind
+// store.LoadFile and a sequential reference — each file read line by line
+// into a store.Builder — must be indistinguishable: identical ontologies
 // (dictionary IDs included, since the stream replays exact input order) and
 // byte-identical alignment snapshots over the movies and world corpora.
 // Wall-clock fields (per-iteration timings, ClassTime) are zeroed before
@@ -19,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/ingest"
+	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -54,6 +56,31 @@ func writeCorpus(t *testing.T, d *gen.Dataset) (path1, path2 string) {
 	return path1, filepath.Join(dir, d.Name2+".nt")
 }
 
+// loadSequential is the reference loader: one file, gunzipped when its
+// name ends in .gz, read line by line into a Builder with no pipeline.
+func loadSequential(t *testing.T, path string, lits *store.Literals) *store.Ontology {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var r io.Reader = f
+	if filepath.Ext(path) == ".gz" {
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer zr.Close()
+		r = zr
+	}
+	b := store.NewBuilder(store.BaseName(path), lits, nil)
+	if err := b.Load(rdf.NewNTriplesReader(r)); err != nil {
+		t.Fatal(err)
+	}
+	return b.Build()
+}
+
 // loadPair loads both corpus files into one shared literal table.
 func loadPair(t *testing.T, path1, path2 string, opts ...store.LoadOption) (*store.Ontology, *store.Ontology) {
 	t.Helper()
@@ -75,7 +102,7 @@ func loadPair(t *testing.T, path1, path2 string, opts ...store.LoadOption) (*sto
 func assertOntologiesIdentical(t *testing.T, want, got *store.Ontology) {
 	t.Helper()
 	if w, g := want.Stats(), got.Stats(); w != g {
-		t.Fatalf("stats differ:\n  legacy  %+v\n  ingest  %+v", w, g)
+		t.Fatalf("stats differ:\n  sequential %+v\n  ingest     %+v", w, g)
 	}
 	if want.NumResources() != got.NumResources() {
 		t.Fatalf("resources: %d vs %d", want.NumResources(), got.NumResources())
@@ -137,7 +164,8 @@ func stripTimings(s *core.ResultSnapshot) {
 func runDifferential(t *testing.T, d *gen.Dataset, minBlocks int) {
 	path1, path2 := writeCorpus(t, d)
 
-	legacy1, legacy2 := loadPair(t, path1, path2)
+	lits := store.NewLiterals()
+	seq1, seq2 := loadSequential(t, path1, lits), loadSequential(t, path2, lits)
 	// Several workers over multi-block files: blocks finish out of order,
 	// the configuration furthest from a sequential read. loads keeps each
 	// load's latest progress; a load's first block starts a new entry.
@@ -158,11 +186,11 @@ func runDifferential(t *testing.T, d *gen.Dataset, minBlocks int) {
 		}
 	}
 
-	assertOntologiesIdentical(t, legacy1, ingest1)
-	assertOntologiesIdentical(t, legacy2, ingest2)
+	assertOntologiesIdentical(t, seq1, ingest1)
+	assertOntologiesIdentical(t, seq2, ingest2)
 
 	cfg := core.Config{Workers: 1}
-	resLegacy, err := core.New(legacy1, legacy2, cfg).RunContext(context.Background())
+	resSeq, err := core.New(seq1, seq2, cfg).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +198,10 @@ func runDifferential(t *testing.T, d *gen.Dataset, minBlocks int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapLegacy, snapIngest := resLegacy.Snapshot(), resIngest.Snapshot()
-	stripTimings(snapLegacy)
+	snapSeq, snapIngest := resSeq.Snapshot(), resIngest.Snapshot()
+	stripTimings(snapSeq)
 	stripTimings(snapIngest)
-	wantBytes, err := snapLegacy.MarshalBinary()
+	wantBytes, err := snapSeq.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +211,7 @@ func runDifferential(t *testing.T, d *gen.Dataset, minBlocks int) {
 	}
 	if !bytes.Equal(wantBytes, gotBytes) {
 		t.Fatalf("alignment snapshots differ: %d vs %d bytes (assignments %d vs %d)",
-			len(wantBytes), len(gotBytes), len(snapLegacy.Instances), len(snapIngest.Instances))
+			len(wantBytes), len(gotBytes), len(snapSeq.Instances), len(snapIngest.Instances))
 	}
 }
 

@@ -138,6 +138,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 	for _, p := range d.Gold.Pairs() {
 		keys = append(keys, p[0])
 	}
+	var statsBefore, statsAfter struct {
+		Lookups uint64 `json:"lookups"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/stats", &statsBefore); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", code)
+	}
 	const workers, gets, batches, misses, batchKeys = 4, 8, 2, 4, 64
 	var wg sync.WaitGroup
 	for w := range workers {
@@ -171,8 +177,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 	wg.Wait()
 	after := scrapeMetrics(t, ts.URL)
 	want := float64(workers * (gets + batchKeys*batches + misses))
-	if got := metricValue(t, after, "paris_lookups_total") - metricValue(t, text, "paris_lookups_total"); got != want {
-		t.Errorf("paris_lookups_total rose by %v, want %v (GETs + 64 per batch + misses)", got, want)
+	delta := metricValue(t, after, "paris_lookups_total") - metricValue(t, text, "paris_lookups_total")
+	if delta != want {
+		t.Errorf("paris_lookups_total rose by %v, want %v (GETs + 64 per batch + misses)", delta, want)
+	}
+	// /v1/stats reports the same counter.
+	if code := getJSON(t, ts.URL+"/v1/stats", &statsAfter); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", code)
+	}
+	if got := float64(statsAfter.Lookups - statsBefore.Lookups); got != delta {
+		t.Errorf("/v1/stats lookups rose by %v, want the counter's %v", got, delta)
 	}
 }
 

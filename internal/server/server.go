@@ -197,7 +197,6 @@ type Server struct {
 	met     *serverMetrics
 	col     *obs.Collector // flight recorder; nil when Options.DisableRecorder
 	started time.Time
-	lookups atomic.Uint64
 
 	// testBeforeAlign, when non-nil, runs on the worker goroutine after a
 	// job transitions to running and before alignment starts. Tests use it
@@ -1236,7 +1235,6 @@ func (s *Server) handleSameAs(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, "%v", err)
 		return
 	}
-	s.lookups.Add(1)
 	s.met.lookups.Inc()
 	key := q.Get("key")
 	if key == "" {
@@ -1285,7 +1283,6 @@ func (s *Server) handleSameAsBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.lookups.Add(uint64(len(req.Keys)))
 	s.met.lookups.Add(uint64(len(req.Keys)))
 	resp := batchSameAsResponse{
 		Snapshot: ix.id, KB: req.KB,
@@ -1366,7 +1363,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	stats := map[string]any{
 		"uptime_seconds": int64(time.Since(s.started).Seconds()),
 		"jobs":           s.jobs.counts(),
-		"lookups":        s.lookups.Load(),
+		"lookups":        s.met.lookups.Value(),
 		"cache": map[string]any{
 			"hits": hits, "misses": misses, "size": size, "cap": s.opts.CacheSize,
 		},

@@ -108,6 +108,7 @@ func TestFleetObservabilityDegraded(t *testing.T) {
 	// dead replicas), and it seeds the SLO windows whose burn the fleet
 	// report must later show as zero.
 	lookupsBefore := counterValue(t, rt, "paris_router_lookups_total")
+	statsBefore := routerStatsLookups(t, rts.URL)
 	for _, p := range pairs {
 		// A 404 is a served answer (the alignment has no entry), not an
 		// outage: anything but 200/404 means the kill leaked to the client.
@@ -271,6 +272,9 @@ func TestFleetObservabilityDegraded(t *testing.T) {
 	if got := lookups - lookupsBefore; got != float64(issued) {
 		t.Errorf("paris_router_lookups_total rose by %v, want %d (keys issued)", got, issued)
 	}
+	if got := routerStatsLookups(t, rts.URL) - statsBefore; float64(got) != lookups-lookupsBefore {
+		t.Errorf("router /v1/stats lookups rose by %d, want the counter's %v", got, lookups-lookupsBefore)
+	}
 	metRes := get(t, rts.URL, "/v1/fleet/metrics")
 	if metRes.code != http.StatusOK {
 		t.Fatalf("/v1/fleet/metrics = %d with half the fleet down, want 200", metRes.code)
@@ -396,4 +400,22 @@ func TestFleetObservabilityDegraded(t *testing.T) {
 	if want := int64(2 * len(pairs)); got.Windows[0].Requests < want {
 		t.Errorf("merged 5m window saw %d GET /v1/sameas requests, want >= %d", got.Windows[0].Requests, want)
 	}
+}
+
+// routerStatsLookups reads the lookups field of the router's /v1/stats.
+func routerStatsLookups(t *testing.T, base string) uint64 {
+	t.Helper()
+	r := get(t, base, "/v1/stats")
+	if r.code != http.StatusOK {
+		t.Fatalf("GET /v1/stats = %d %s", r.code, r.body)
+	}
+	var stats struct {
+		Router struct {
+			Lookups uint64 `json:"lookups"`
+		} `json:"router"`
+	}
+	if err := json.Unmarshal(r.body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats.Router.Lookups
 }

@@ -229,6 +229,50 @@ func TestRouterShardErrorNamesShardWithTiming(t *testing.T) {
 	}
 }
 
+// TestRouterShardHTTPErrorIsAnAnswer: a shard's own HTTP error is an answer
+// on both read paths. A bogus kb draws the shard's 400 through the proxy
+// and the scatter path alike, and neither counts as a transport failure:
+// no shard error series appears, and no attempt span fails, so the
+// recorder retains no error trace.
+func TestRouterShardHTTPErrorIsAnAnswer(t *testing.T) {
+	srv, err := server.New(server.Options{StateDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	d := gen.Persons(gen.PersonsConfig{N: 10, Seed: 7})
+	o1, o2, _ := d.Build(nil)
+	if _, err := srv.PublishResult(core.New(o1, o2, core.Config{}).Run()); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := shard.NewRouter([]string{ts.URL}, shard.WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	if _, err := rt.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	if r := get(t, rts.URL, "/v1/sameas?kb=bogus&key=x"); r.code != http.StatusBadRequest {
+		t.Fatalf("proxy: %d %s, want 400", r.code, r.body)
+	}
+	if r := post(t, rts.URL, "/v1/sameas", `{"kb":"bogus","keys":["x"]}`); r.code != http.StatusBadRequest {
+		t.Fatalf("scatter: %d %s, want 400", r.code, r.body)
+	}
+
+	var b strings.Builder
+	rt.MetricsRegistry().WriteText(&b)
+	if strings.Contains(b.String(), "paris_router_shard_errors_total{") {
+		t.Errorf("a shard's 400 counted as a transport failure:\n%s", b.String())
+	}
+	if traces := rt.Recorder().ErrorTraces(); len(traces) != 0 {
+		t.Errorf("recorder retained %d error trace(s) for answered reads: %+v", len(traces), traces)
+	}
+}
+
 // TestRouterReadyz: the router is alive from the start but not ready until
 // its first epoch flip — the readiness gate of a rolling deploy.
 func TestRouterReadyz(t *testing.T) {

@@ -5,7 +5,10 @@ package shard_test
 // strings), and the per-client rate limiter answers 429 with Retry-After.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -48,9 +51,10 @@ func seriesValue(t *testing.T, text, series string) float64 {
 }
 
 // TestHedgedReadCancelsLoser: one group of two replicas, one of them slow
-// on the read path. Reads landing on the slow replica must hedge to the
-// fast one after the budget, win there, and cancel the slow attempt — seen
-// from the slow replica's side as a canceled request context.
+// on the read path. Reads landing on the slow replica — single GETs and
+// batch sub-requests alike — must hedge to the fast one after the budget,
+// win there, and cancel the slow attempt, seen from the slow replica's
+// side as a canceled request context.
 func TestHedgedReadCancelsLoser(t *testing.T) {
 	ctx := context.Background()
 	d := gen.Persons(gen.PersonsConfig{N: 40, Seed: 7})
@@ -62,9 +66,10 @@ func TestHedgedReadCancelsLoser(t *testing.T) {
 	snap := res.Snapshot()
 
 	// Two plain parisd replicas of the same (full) slice. The slow one
-	// stalls GET /v1/sameas until the router cancels it or 500ms pass;
-	// everything else (stats, snapshot polls, ingestion) runs at speed.
-	var canceled atomic.Int64
+	// stalls GET and POST /v1/sameas until the router cancels it or 500ms
+	// pass; everything else (stats, snapshot polls, ingestion) runs at
+	// speed.
+	var canceled, canceledBatches atomic.Int64 // GET and POST losers
 	newReplica := func(slow bool) (*client.Client, string) {
 		srv, err := server.New(server.Options{StateDir: t.TempDir(), Logf: t.Logf})
 		if err != nil {
@@ -74,10 +79,22 @@ func TestHedgedReadCancelsLoser(t *testing.T) {
 		if slow {
 			inner := h
 			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Method == http.MethodGet && r.URL.Path == "/v1/sameas" {
+				if r.URL.Path == "/v1/sameas" {
+					// net/http watches for the client hanging up only once
+					// the request body is read to EOF, so buffer it first.
+					body, err := io.ReadAll(r.Body)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					r.Body = io.NopCloser(bytes.NewReader(body))
 					select {
 					case <-r.Context().Done():
-						canceled.Add(1)
+						if r.Method == http.MethodPost {
+							canceledBatches.Add(1)
+						} else {
+							canceled.Add(1)
+						}
 						return
 					case <-time.After(500 * time.Millisecond):
 					}
@@ -120,14 +137,45 @@ func TestHedgedReadCancelsLoser(t *testing.T) {
 			t.Fatalf("read %d: %d %s", i, r.code, r.body)
 		}
 	}
-	if v := counterValue(t, rt, "paris_router_hedges_total"); v < 1 {
-		t.Errorf("paris_router_hedges_total = %v, want >= 1", v)
+	hedges := counterValue(t, rt, "paris_router_hedges_total")
+	if hedges < 1 {
+		t.Errorf("paris_router_hedges_total = %v, want >= 1", hedges)
 	}
-	if v := counterValue(t, rt, "paris_router_hedge_wins_total"); v < 1 {
-		t.Errorf("paris_router_hedge_wins_total = %v, want >= 1", v)
+	wins := counterValue(t, rt, "paris_router_hedge_wins_total")
+	if wins < 1 {
+		t.Errorf("paris_router_hedge_wins_total = %v, want >= 1", wins)
 	}
 	if n := canceled.Load(); n < 1 {
 		t.Errorf("slow replica saw %d canceled requests, want >= 1 (losers must be canceled)", n)
+	}
+
+	// Batches take the same race: their sub-requests landing on the slow
+	// replica hedge, win on the fast one, and cancel the loser too.
+	var keys []string
+	for _, p := range d.Gold.Pairs()[:8] {
+		keys = append(keys, p[0])
+	}
+	for i := 0; i < 12; i++ {
+		r := post(t, rts.URL, "/v1/sameas", batchBody("1", keys))
+		if r.code != http.StatusOK {
+			t.Fatalf("batch %d: %d %s", i, r.code, r.body)
+		}
+		var resp client.BatchSameAsResponse
+		if err := json.Unmarshal(r.body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Found != len(keys) {
+			t.Fatalf("batch %d found %d of %d keys: %s", i, resp.Found, len(keys), r.body)
+		}
+	}
+	if v := counterValue(t, rt, "paris_router_hedges_total"); v <= hedges {
+		t.Errorf("paris_router_hedges_total = %v after the batches, want > %v", v, hedges)
+	}
+	if v := counterValue(t, rt, "paris_router_hedge_wins_total"); v <= wins {
+		t.Errorf("paris_router_hedge_wins_total = %v after the batches, want > %v", v, wins)
+	}
+	if n := canceledBatches.Load(); n < 1 {
+		t.Errorf("slow replica saw %d canceled batch requests, want >= 1", n)
 	}
 }
 

@@ -100,7 +100,6 @@ type Router struct {
 	epochMu sync.Mutex
 	epoch   atomic.Value // string; "" before the first acknowledged version
 
-	lookups atomic.Uint64
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in rate-limit + telemetry middleware
 	reg     *obs.Registry
@@ -380,7 +379,6 @@ func (rt *Router) handleSameAs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q.Set("snapshot", pin)
-	rt.lookups.Add(1)
 	rt.met.lookups.Inc()
 	rt.proxy(w, r, rt.part.Owner(q.Get("key")), q)
 }
@@ -429,38 +427,41 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// proxyAttempt is the outcome of one replica try on the raw relay path.
-type proxyAttempt struct {
-	idx    int // position in the candidate order
-	resp   *http.Response
-	err    error
-	dur    time.Duration
-	hedged bool
+// attempt is the outcome of one replica try.
+type attempt[T any] struct {
+	idx      int // position in the candidate order
+	val      T
+	err      error
+	answered bool // the replica answered: err is nil or the shard's *client.Error
+	dur      time.Duration
+	hedged   bool
 }
 
-// proxy relays the request to the group owning it with hedged failover:
-// the preferred replica first, a hedge to the next replica once the
-// route's latency budget expires, an immediate failover on transport
-// error, first response wins with loser cancellation. A server-reported
-// HTTP error is a response (every replica would report the same) and
-// relays verbatim; only a group whose every replica failed at the
-// transport layer surfaces as 502. Each attempt gets its own child span —
-// a merged router+shard trace reads http → shard → http — and is timed
-// into the per-replica histogram.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard int, q url.Values) {
-	target := r.URL.Path
-	if len(q) > 0 {
-		target += "?" + q.Encode()
-	}
-	cands := rt.groups[shard].candidates(q.Get("snapshot"))
-	results := make(chan proxyAttempt, len(cands))
+// race sends one read to the replicas of a shard group with hedged
+// failover: the preferred replica first, a hedge to the next replica once
+// budget expires, an immediate failover on a transport error. The first
+// answer wins — a response, or an HTTP error the shard reported, which
+// every replica would report the same — and the losers are canceled and
+// drained off-path, discard (when non-nil) releasing any answer they still
+// produce. Only a transport failure counts against a replica: it fails the
+// attempt's span and raises the per-replica error counter. Each attempt
+// gets its own child span — a merged router+shard trace reads http → shard
+// → http — tagged with the batch size when keys > 0, and is timed into the
+// per-replica histogram.
+//
+// The winner's context stays alive until the caller calls release, so a
+// streamed body can still be read. When every replica failed, race returns
+// the last attempt, with its transport error and duration.
+func race[T any](ctx context.Context, rt *Router, shard int, pin string, budget time.Duration, keys int,
+	try func(context.Context, *replica) (T, error), discard func(T)) (win attempt[T], release context.CancelFunc) {
+	cands := rt.groups[shard].candidates(pin)
+	results := make(chan attempt[T], len(cands))
 	cancels := make([]context.CancelFunc, len(cands))
 	launched, received := 0, 0
 	launch := func(hedged bool) {
-		rep := cands[launched]
-		idx := launched
+		rep, idx := cands[launched], launched
 		launched++
-		actx, cancel := context.WithCancel(r.Context())
+		actx, cancel := context.WithCancel(ctx)
 		cancels[idx] = cancel
 		if hedged {
 			rt.met.hedges.Inc()
@@ -469,31 +470,28 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard int, q url
 			sctx, sp := obs.StartSpan(actx, rt.logf, "shard")
 			sp.Set("shard", shard)
 			sp.Set("replica", rep.idx)
+			if keys > 0 {
+				sp.Set("keys", keys)
+			}
 			if hedged {
 				sp.Set("hedge", true)
 			}
-			req, err := http.NewRequestWithContext(sctx, r.Method, rep.url+target, nil)
-			if err != nil {
-				sp.Fail(err)
-				sp.End()
-				results <- proxyAttempt{idx: idx, err: err, hedged: hedged}
-				return
-			}
-			obs.Inject(sctx, req.Header)
 			start := time.Now()
-			resp, err := rt.httpc.Do(req)
-			dur := time.Since(start)
-			rt.met.shardDone(shard, rep.idx, dur.Seconds(), err != nil)
+			val, err := try(sctx, rep)
+			a := attempt[T]{idx: idx, val: val, err: err, answered: err == nil || isServerError(err),
+				dur: time.Since(start), hedged: hedged}
+			rt.met.shardDone(shard, rep.idx, a.dur.Seconds(), !a.answered)
 			rep.noteOutcome(err)
-			sp.Fail(err)
+			if !a.answered {
+				sp.Fail(err)
+			}
 			sp.End()
-			results <- proxyAttempt{idx: idx, resp: resp, err: err, dur: dur, hedged: hedged}
+			results <- a
 		}()
 	}
 	launch(false)
-	hedge := time.NewTimer(rt.hedgeDelay(r))
+	hedge := time.NewTimer(budget)
 	defer hedge.Stop()
-	var last proxyAttempt
 	for {
 		select {
 		case <-hedge.C:
@@ -502,12 +500,10 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard int, q url
 			}
 		case a := <-results:
 			received++
-			if a.err == nil {
+			if a.answered {
 				if a.hedged {
 					rt.met.hedgeWins.Inc()
 				}
-				// Cancel the losers and drain their results off-path; the
-				// winner's context stays alive until its body is copied.
 				for i := 0; i < launched; i++ {
 					if i != a.idx {
 						cancels[i]()
@@ -516,126 +512,65 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard int, q url
 				if remaining := launched - received; remaining > 0 {
 					go func() {
 						for i := 0; i < remaining; i++ {
-							if la := <-results; la.resp != nil {
-								la.resp.Body.Close()
+							if la := <-results; la.answered && discard != nil {
+								discard(la.val)
 							}
 						}
 					}()
 				}
-				defer cancels[a.idx]()
-				relay(w, a.resp)
-				return
+				return a, cancels[a.idx]
 			}
 			cancels[a.idx]()
-			last = a
 			if launched < len(cands) {
-				// Transport error: fail over to the next replica right
-				// away instead of waiting out the hedge budget.
 				rt.met.failovers.Inc()
 				launch(false)
 			} else if received == launched {
-				// The attempt duration makes slow-vs-failed readable from
-				// the message alone: "after 10s: context deadline
-				// exceeded" is a timeout, "after 2ms: connection refused"
-				// a dead group.
-				httpError(w, http.StatusBadGateway, "shard %d unreachable after %s: %v",
-					shard, last.dur.Round(100*time.Microsecond), last.err)
-				return
+				return a, func() {}
 			}
 		}
 	}
 }
 
-// batchAttempt is the outcome of one replica try on the scatter sub-batch
-// path.
-type batchAttempt struct {
-	idx    int
-	resp   client.BatchSameAsResponse
-	err    error
-	dur    time.Duration
-	hedged bool
+// proxy relays the request through the race to the group owning it. The
+// winning replica's response relays verbatim, a shard-reported HTTP error
+// included; only a group whose every replica failed at the transport layer
+// answers 502.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard int, q url.Values) {
+	target := r.URL.Path
+	if len(q) > 0 {
+		target += "?" + q.Encode()
+	}
+	a, release := race(r.Context(), rt, shard, q.Get("snapshot"), rt.hedgeDelay(r), 0,
+		func(ctx context.Context, rep *replica) (*http.Response, error) {
+			req, err := http.NewRequestWithContext(ctx, r.Method, rep.url+target, nil)
+			if err != nil {
+				return nil, err
+			}
+			obs.Inject(ctx, req.Header)
+			return rt.httpc.Do(req)
+		},
+		func(resp *http.Response) { resp.Body.Close() })
+	defer release()
+	if !a.answered {
+		// The attempt duration makes slow-vs-failed readable from the
+		// message alone: "after 10s: context deadline exceeded" is a
+		// timeout, "after 2ms: connection refused" a dead group.
+		httpError(w, http.StatusBadGateway, "shard %d unreachable after %s: %v",
+			shard, a.dur.Round(100*time.Microsecond), a.err)
+		return
+	}
+	relay(w, a.val)
 }
 
-// subBatch sends one group's sub-batch with the same hedged-failover
-// discipline as proxy. It returns the winning replica's response — err is
-// nil or the server-reported *client.Error it relayed — or, when every
-// replica failed at the transport layer, the last transport error and its
-// attempt duration.
-func (rt *Router) subBatch(ctx context.Context, shard int, budget time.Duration, req client.BatchSameAsQuery) (client.BatchSameAsResponse, time.Duration, error) {
-	cands := rt.groups[shard].candidates(req.Snapshot)
-	results := make(chan batchAttempt, len(cands))
-	cancels := make([]context.CancelFunc, len(cands))
-	launched, received := 0, 0
-	launch := func(hedged bool) {
-		rep := cands[launched]
-		idx := launched
-		launched++
-		actx, cancel := context.WithCancel(ctx)
-		cancels[idx] = cancel
-		if hedged {
-			rt.met.hedges.Inc()
-		}
-		go func() {
-			// One child span per attempt: the fan-out's shape (which
-			// replica straggled, where the hedge went) survives into the
-			// retained trace tree.
-			sctx, sp := obs.StartSpan(actx, rt.logf, "shard")
-			sp.Set("shard", shard)
-			sp.Set("replica", rep.idx)
-			sp.Set("keys", len(req.Keys))
-			if hedged {
-				sp.Set("hedge", true)
-			}
-			start := time.Now()
-			resp, err := rep.peer.SameAsBatch(sctx, req)
-			dur := time.Since(start)
-			rt.met.shardDone(shard, rep.idx, dur.Seconds(), err != nil)
-			rep.noteOutcome(err)
-			sp.Fail(err)
-			sp.End()
-			results <- batchAttempt{idx: idx, resp: resp, err: err, dur: dur, hedged: hedged}
-		}()
-	}
-	launch(false)
-	hedge := time.NewTimer(budget)
-	defer hedge.Stop()
-	var last batchAttempt
-	for {
-		select {
-		case <-hedge.C:
-			if launched < len(cands) {
-				launch(true)
-			}
-		case a := <-results:
-			received++
-			if a.err == nil || isServerError(a.err) {
-				if a.hedged {
-					rt.met.hedgeWins.Inc()
-				}
-				// The winner's response is fully decoded; every context
-				// can go, and the losers drain off-path.
-				for i := 0; i < launched; i++ {
-					cancels[i]()
-				}
-				if remaining := launched - received; remaining > 0 {
-					go func() {
-						for i := 0; i < remaining; i++ {
-							<-results
-						}
-					}()
-				}
-				return a.resp, a.dur, a.err
-			}
-			cancels[a.idx]()
-			last = a
-			if launched < len(cands) {
-				rt.met.failovers.Inc()
-				launch(false)
-			} else if received == launched {
-				return client.BatchSameAsResponse{}, last.dur, last.err
-			}
-		}
-	}
+// subBatch sends one group's sub-batch through the race. The winner's
+// answer is decoded in full, so its context is released at once.
+func (rt *Router) subBatch(ctx context.Context, shard int, budget time.Duration, req client.BatchSameAsQuery) attempt[client.BatchSameAsResponse] {
+	a, release := race(ctx, rt, shard, req.Snapshot, budget, len(req.Keys),
+		func(ctx context.Context, rep *replica) (client.BatchSameAsResponse, error) {
+			return rep.peer.SameAsBatch(ctx, req)
+		}, nil)
+	release()
+	return a
 }
 
 // batchRequest mirrors the shard servers' POST /v1/sameas request body.
@@ -690,7 +625,6 @@ func (rt *Router) handleSameAsBatch(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusBadRequest, "at most %d keys per batch (got %d)", maxBatchKeys, len(req.Keys))
 		return
 	}
-	rt.lookups.Add(uint64(len(req.Keys)))
 	rt.met.lookups.Add(uint64(len(req.Keys)))
 
 	// Group keys by owning shard group, remembering every key's request
@@ -706,12 +640,7 @@ func (rt *Router) handleSameAsBatch(w http.ResponseWriter, r *http.Request) {
 	budget := rt.hedgeDelay(r)
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	type reply struct {
-		resp client.BatchSameAsResponse
-		err  error
-		dur  time.Duration
-	}
-	replies := make([]reply, len(rt.groups))
+	replies := make([]attempt[client.BatchSameAsResponse], len(rt.groups))
 	var wg sync.WaitGroup
 	for i := range rt.groups {
 		if len(groupKeys[i]) == 0 {
@@ -720,15 +649,14 @@ func (rt *Router) handleSameAsBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, dur, err := rt.subBatch(ctx, i, budget, client.BatchSameAsQuery{
+			replies[i] = rt.subBatch(ctx, i, budget, client.BatchSameAsQuery{
 				KB: req.KB, Keys: groupKeys[i], Snapshot: pin,
 			})
-			if err != nil {
+			if replies[i].err != nil {
 				// Cancel the sibling sub-batches: the batch is already
 				// doomed, no point finishing the fan-out.
 				cancel()
 			}
-			replies[i] = reply{resp, err, dur}
 		}(i)
 	}
 	wg.Wait()
@@ -770,14 +698,14 @@ func (rt *Router) handleSameAsBatch(w http.ResponseWriter, r *http.Request) {
 		if len(groupKeys[i]) == 0 {
 			continue
 		}
-		if got, want := len(replies[i].resp.Results), len(groupPos[i]); got != want {
+		if got, want := len(replies[i].val.Results), len(groupPos[i]); got != want {
 			httpError(w, http.StatusBadGateway, "shard %d returned %d results for %d keys", i, got, want)
 			return
 		}
 		for j, pos := range groupPos[i] {
-			out.Results[pos] = replies[i].resp.Results[j]
+			out.Results[pos] = replies[i].val.Results[j]
 		}
-		out.Found += replies[i].resp.Found
+		out.Found += replies[i].val.Found
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -857,7 +785,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"healthy":  healthy,
 			"groups":   groups,
 			"epoch":    rt.Epoch(),
-			"lookups":  rt.lookups.Load(),
+			"lookups":  rt.met.lookups.Value(),
 		},
 	})
 }

@@ -13,36 +13,30 @@ import (
 	"repro/internal/rdf"
 )
 
-// loadConfig collects the LoadOption knobs. The zero value selects the
-// legacy single-pass in-memory builder feed; any ingest-related option
-// routes N-Triples input through the internal/ingest parallel pipeline.
+// loadConfig collects the LoadOption knobs of the streaming pipeline.
 type loadConfig struct {
 	workers  int
 	progress func(ingest.Progress)
-	pipeline bool
 }
 
-// LoadOption configures LoadFile/LoadReader. The ingest-backed streaming
-// path engages when WithParallelism or WithLoadProgress is given and the
-// input is N-Triples; Turtle input (a stateful grammar that cannot be
-// block-split) always takes the sequential parser.
+// LoadOption configures LoadFile/LoadReader. N-Triples input always
+// streams through the internal/ingest parallel pipeline; Turtle input (a
+// stateful grammar that cannot be block-split) takes its own sequential
+// parser and ignores the options.
 type LoadOption func(*loadConfig)
 
 // WithParallelism fans block parsing out to n workers (0 picks the ingest
-// default, min(GOMAXPROCS, 8)) and enables the streaming pipeline.
+// default, min(GOMAXPROCS, 8)).
 func WithParallelism(n int) LoadOption {
-	return func(c *loadConfig) {
-		c.workers = n
-		c.pipeline = true
-	}
+	return func(c *loadConfig) { c.workers = n }
 }
 
-// WithMemoryBudget enables the streaming pipeline and ignores bytes: the
-// pipeline's memory is bounded by its read-ahead window, not a budget.
+// WithMemoryBudget does nothing: the pipeline's memory is bounded by its
+// read-ahead window, not a budget.
 //
-// Deprecated: use WithParallelism. WithMemoryBudget will be removed.
+// Deprecated: WithMemoryBudget will be removed.
 func WithMemoryBudget(bytes int64) LoadOption {
-	return func(c *loadConfig) { c.pipeline = true }
+	return func(*loadConfig) {}
 }
 
 // WithSpillDir does nothing: the streaming pipeline writes no temp files.
@@ -53,12 +47,9 @@ func WithSpillDir(dir string) LoadOption {
 }
 
 // WithLoadProgress streams the cumulative per-block ingest counters during
-// the load. Enables the streaming pipeline.
+// the load.
 func WithLoadProgress(fn func(ingest.Progress)) LoadOption {
-	return func(c *loadConfig) {
-		c.progress = fn
-		c.pipeline = true
-	}
+	return func(c *loadConfig) { c.progress = fn }
 }
 
 // ContextReader wraps r so every Read fails with the context's error once
@@ -131,9 +122,8 @@ func LoadReader(r io.Reader, format, name string, lits *Literals, norm Normalize
 	return LoadReaderContext(context.Background(), r, format, name, lits, norm, opts...)
 }
 
-// LoadReaderContext is LoadReader with cancellation: the context aborts the
-// load between reads on the sequential path and per block on the streaming
-// pipeline.
+// LoadReaderContext is LoadReader with cancellation: the context aborts an
+// N-Triples load per block and a Turtle load between reads.
 func LoadReaderContext(ctx context.Context, r io.Reader, format, name string, lits *Literals, norm Normalizer, opts ...LoadOption) (*Ontology, error) {
 	var cfg loadConfig
 	for _, opt := range opts {
@@ -162,21 +152,14 @@ func LoadReaderContext(ctx context.Context, r io.Reader, format, name string, li
 	b := NewBuilder(name, lits, norm)
 	switch ext := strings.ToLower(filepath.Ext(base)); ext {
 	case ".nt", ".ntriples":
-		if cfg.pipeline {
-			// Streaming parallel path: block-parallel parse feeding the
-			// builder as it goes; triples arrive in exact input order, so
-			// the builder's interning (and everything downstream) is
-			// bit-compatible with the sequential load.
-			_, err := ingest.Run(ctx, r, ingest.Options{
-				Workers:  cfg.workers,
-				Progress: cfg.progress,
-			}, b.Add)
-			if err != nil {
-				return nil, fmt.Errorf("store: loading %s: %w", label, err)
-			}
-			break
-		}
-		if err := b.Load(rdf.NewNTriplesReader(r)); err != nil {
+		// Block-parallel parse feeding the builder as it goes; triples
+		// arrive in exact input order, so the builder's interning (and
+		// everything downstream) matches a sequential read.
+		_, err := ingest.Run(ctx, r, ingest.Options{
+			Workers:  cfg.workers,
+			Progress: cfg.progress,
+		}, b.Add)
+		if err != nil {
 			return nil, fmt.Errorf("store: loading %s: %w", label, err)
 		}
 	case ".ttl", ".turtle":

@@ -80,7 +80,6 @@ type Session struct {
 	progress     func(IterationStats)
 	loadProgress func(LoadProgress)
 	ingestWork   int
-	singleShot   bool
 	lits         *Literals
 	litsSet      bool // lits pinned by WithLiterals (or adopted by the first Use)
 	ontos        []*Ontology
@@ -133,14 +132,6 @@ func WithIngestWorkers(n int) SessionOption {
 	return func(s *Session) { s.ingestWork = n }
 }
 
-// WithSingleShotLoad restores the sequential in-memory load path for
-// N-Triples sources (Turtle always uses it). The streaming pipeline
-// produces bit-identical ontologies, so this exists for debugging and
-// comparison, not correctness.
-func WithSingleShotLoad() SessionOption {
-	return func(s *Session) { s.singleShot = true }
-}
-
 // WithLiterals makes the session intern into an existing literal table
 // instead of a fresh one, for interop with ontologies built directly
 // through NewBuilder.
@@ -187,14 +178,8 @@ func (s *Session) Load(ctx context.Context, src Source) (*Ontology, error) {
 	} else {
 		return nil, errors.New("paris: empty source (use FromFile or FromReader)")
 	}
-	var opts []store.LoadOption
-	if !s.singleShot {
-		opts = append(opts, store.WithParallelism(s.ingestWork))
-		if s.loadProgress != nil {
-			opts = append(opts, store.WithLoadProgress(s.loadProgress))
-		}
-	}
-	o, err := store.LoadReaderContext(ctx, r, format, src.name, s.lits, s.norm, opts...)
+	o, err := store.LoadReaderContext(ctx, r, format, src.name, s.lits, s.norm,
+		store.WithParallelism(s.ingestWork), store.WithLoadProgress(s.loadProgress))
 	if err != nil {
 		return nil, err
 	}

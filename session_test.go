@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
 // The kb1/kb2 documents of paris_test.go serve as the two sides here too.
@@ -316,9 +318,9 @@ func TestSessionRealignWithoutAlign(t *testing.T) {
 }
 
 // TestSessionLoadProgressAndIngestOptions: session loads run through the
-// streaming pipeline by default — WithLoadProgress observes per-block
-// counters, the ingest knobs are accepted, and the result matches a
-// single-shot load.
+// streaming pipeline — WithLoadProgress observes per-block counters, the
+// ingest knobs are accepted, and the result matches a sequential reference
+// built by reading each document line by line into a Builder.
 func TestSessionLoadProgressAndIngestOptions(t *testing.T) {
 	ctx := context.Background()
 	var events []LoadProgress
@@ -344,18 +346,22 @@ func TestSessionLoadProgressAndIngestOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	single := NewSession(WithSingleShotLoad())
-	if _, err := single.Load(ctx, FromReader("left", "nt", strings.NewReader(kb1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := single.Load(ctx, FromReader("right", "nt", strings.NewReader(kb2))); err != nil {
-		t.Fatal(err)
+	single := NewSession()
+	lits := NewLiterals()
+	for _, kb := range []struct{ name, doc string }{{"left", kb1}, {"right", kb2}} {
+		b := NewBuilder(kb.name, lits, nil)
+		if err := b.Load(rdf.NewNTriplesReader(strings.NewReader(kb.doc))); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.Use(b.Build()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	resSingle, err := single.Align(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Instances) != len(resSingle.Instances) {
-		t.Fatalf("pipeline vs single-shot: %d vs %d assignments", len(res.Instances), len(resSingle.Instances))
+		t.Fatalf("pipeline vs sequential: %d vs %d assignments", len(res.Instances), len(resSingle.Instances))
 	}
 }
