@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/literal"
@@ -215,12 +216,14 @@ func (a *Aligner) Assignments() []Assignment {
 }
 
 // Candidates returns all stored equality candidates of an ontology-1
-// instance (descending probability).
+// instance in descending probability, ties by ID. The slice is a copy.
 func (a *Aligner) Candidates(x store.Resource) []Cand {
 	if a.eq == nil {
 		return nil
 	}
-	return a.eq.fwd[x]
+	cands := slices.Clone(a.eq.fwd[x])
+	slices.SortFunc(cands, byProbability)
+	return cands
 }
 
 // RelationAlignments returns the current sub-relation scores above the

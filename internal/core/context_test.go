@@ -130,9 +130,9 @@ type cancelOnMatch struct {
 	cancel context.CancelFunc
 }
 
-func (m cancelOnMatch) Candidates(l store.Lit) []literal.Weighted {
+func (m cancelOnMatch) AppendCandidates(dst []literal.Weighted, l store.Lit) []literal.Weighted {
 	m.cancel()
-	return m.inner.Candidates(l)
+	return m.inner.AppendCandidates(dst, l)
 }
 
 // TestStepContextCancelBetweenPasses: a cancellation landing during the

@@ -17,25 +17,33 @@ type Cand struct {
 	P  float64
 }
 
-// eqStore holds the sparse instance-equality table of one iteration:
-// candidate lists in both directions plus the maximal assignments
-// (Section 4.2: "the instance from the second ontology with the maximum
-// score"). False and unknown equalities are not stored, which the formulas
-// cannot distinguish anyway (Section 5.2).
+// eqStore holds the sparse instance-equality table of one iteration: the
+// candidate rows of the ontology-1 resources plus the maximal assignments in
+// both directions (Section 4.2: "the instance from the second ontology with
+// the maximum score"). False and unknown equalities are not stored, which the
+// formulas cannot distinguish anyway (Section 5.2).
+//
+// By default the kernel reads only the maximal assignments, so rows keep the
+// order the instance pass produced and no reverse rows exist. Under
+// Config.AllEqualities the kernel multiplies over whole rows in order, so
+// every row is sorted byProbability and rev holds the reverse rows, sorted
+// the same way.
 type eqStore struct {
+	allEqualities bool
+
 	fwd [][]Cand // ontology-1 resource -> candidates in ontology 2
-	rev [][]Cand // ontology-2 resource -> candidates in ontology 1
+	rev [][]Cand // ontology-2 resource -> candidates in ontology 1; nil unless allEqualities
 
 	maxFwd []Cand // per ontology-1 resource; To == NoResource when absent
 	maxRev []Cand
 }
 
-func newEqStore(n1, n2 int) *eqStore {
+func newEqStore(n1, n2 int, allEqualities bool) *eqStore {
 	e := &eqStore{
-		fwd:    make([][]Cand, n1),
-		rev:    make([][]Cand, n2),
-		maxFwd: make([]Cand, n1),
-		maxRev: make([]Cand, n2),
+		allEqualities: allEqualities,
+		fwd:           make([][]Cand, n1),
+		maxFwd:        make([]Cand, n1),
+		maxRev:        make([]Cand, n2),
 	}
 	for i := range e.maxFwd {
 		e.maxFwd[i] = Cand{To: NoResource}
@@ -46,16 +54,18 @@ func newEqStore(n1, n2 int) *eqStore {
 	return e
 }
 
-// setFwd installs the candidate list of one ontology-1 resource (sorted by
-// descending probability, ties broken by ID for determinism) and records the
-// maximal assignment.
+// setFwd installs the candidate row of one ontology-1 resource and records
+// its maximal assignment, the row's first candidate in byProbability order.
+// Calls for distinct resources may run concurrently.
 func (e *eqStore) setFwd(x store.Resource, cands []Cand) {
 	if len(cands) == 0 {
 		return
 	}
-	slices.SortFunc(cands, byProbability)
+	if e.allEqualities {
+		slices.SortFunc(cands, byProbability)
+	}
 	e.fwd[x] = cands
-	e.maxFwd[x] = cands[0]
+	e.maxFwd[x] = slices.MinFunc(cands, byProbability)
 }
 
 // byProbability orders candidates by descending probability, then by ID.
@@ -69,10 +79,30 @@ func byProbability(a, b Cand) int {
 	return cmp.Compare(a.To, b.To)
 }
 
-// finish builds the reverse index and reverse maximal assignments from the
-// forward candidate lists. All reverse lists share one backing array, laid
-// out by a counting pass.
+// finish derives the reverse maximal assignments from the forward rows: for
+// every ontology-2 resource, the ontology-1 resource with the highest
+// probability, ties to the lower ID. Scanning x in ascending order and
+// replacing only on a strictly greater probability gives exactly that.
+// Under AllEqualities it builds the sorted reverse rows instead and reads
+// the maxima off their first elements.
 func (e *eqStore) finish() {
+	if e.allEqualities {
+		e.buildRev()
+		return
+	}
+	for x, cands := range e.fwd {
+		for _, c := range cands {
+			if m := &e.maxRev[c.To]; m.To == NoResource || c.P > m.P {
+				*m = Cand{To: store.Resource(x), P: c.P}
+			}
+		}
+	}
+}
+
+// buildRev builds the reverse rows and maxima from the forward rows. All
+// reverse rows share one backing array, laid out by a counting pass.
+func (e *eqStore) buildRev() {
+	e.rev = make([][]Cand, len(e.maxRev))
 	off := make([]int, len(e.rev)+1)
 	for _, cands := range e.fwd {
 		for _, c := range cands {

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"repro/internal/literal"
 	"repro/internal/store"
 )
 
@@ -19,7 +20,7 @@ type weighted struct {
 // every statement r'(x', y') of ontology 2, accumulating the per-candidate
 // product.
 func (a *Aligner) instancePass() *eqStore {
-	next := newEqStore(a.o1.NumResources(), a.o2.NumResources())
+	next := newEqStore(a.o1.NumResources(), a.o2.NumResources(), a.cfg.AllEqualities)
 	// The bootstrap iteration scores every relation pair θ and builds no
 	// link rows; later iterations read both factors from one row per
 	// ontology-1 relation.
@@ -42,13 +43,9 @@ func (a *Aligner) instancePass() *eqStore {
 		return s
 	}
 	insts := a.o1.Instances()
-	results := make([][]Cand, len(insts))
 	parallelFor(len(insts), a.cfg.Workers, newScratch, func(s *instScratch, i int) {
-		results[i] = a.instanceEqualities(s, links, insts[i])
+		next.setFwd(insts[i], a.instanceEqualities(s, links, insts[i]))
 	})
-	for i, cands := range results {
-		next.setFwd(insts[i], cands)
-	}
 	return next
 }
 
@@ -62,8 +59,9 @@ func (a *Aligner) instancePass() *eqStore {
 // ontology-1 relation against every ontology-2 relation r': the link row of
 // that relation scattered densely (zero where it has no entry), or θ
 // throughout in the bootstrap iteration. eqs holds the equalities of every
-// statement's second argument, eqOff[k] the start of statement k's run;
-// cands collects the kept candidates.
+// statement's second argument, eqOff[k] the start of statement k's run; lits
+// takes the literal matcher's candidates on their way into eqs. cands
+// collects the kept candidates.
 type instScratch struct {
 	prod     []float64
 	seen     []bool
@@ -71,6 +69,7 @@ type instScratch struct {
 	p12, p21 []float64
 	eqs      []weighted
 	eqOff    []int
+	lits     []literal.Weighted
 	cands    []Cand
 }
 
@@ -83,7 +82,7 @@ func (a *Aligner) instanceEqualities(s *instScratch, links [][]relLink, x store.
 	}
 	s.eqs, s.eqOff = s.eqs[:0], append(s.eqOff[:0], 0)
 	for _, e := range edges {
-		s.eqs = a.equalsOf1(e.To, s.eqs)
+		s.eqs = a.equalsOf1(e.To, s.eqs, &s.lits)
 		s.eqOff = append(s.eqOff, len(s.eqs))
 	}
 	// prod[x'] = Π over statement pairs of
@@ -226,11 +225,13 @@ func pEq(y store.Node, y2 store.Node, cands []weighted) float64 {
 
 // equalsOf1 appends to buf the ontology-2 nodes equal to the ontology-1
 // node y with positive probability: literal candidates come from the clamped
-// literal matcher, resource candidates from the previous iteration's
-// equalities (maximal assignment only, unless AllEqualities).
-func (a *Aligner) equalsOf1(y store.Node, buf []weighted) []weighted {
+// literal matcher, which appends them to the scratch *lits, resource
+// candidates from the previous iteration's equalities (maximal assignment
+// only, unless AllEqualities).
+func (a *Aligner) equalsOf1(y store.Node, buf []weighted, lits *[]literal.Weighted) []weighted {
 	if y.IsLit() {
-		for _, c := range a.cfg.MatcherTo2.Candidates(y.Lit()) {
+		*lits = a.cfg.MatcherTo2.AppendCandidates((*lits)[:0], y.Lit())
+		for _, c := range *lits {
 			buf = append(buf, weighted{node: store.LitNode(c.Lit), p: c.P})
 		}
 		return buf
@@ -252,9 +253,10 @@ func (a *Aligner) equalsOf1(y store.Node, buf []weighted) []weighted {
 }
 
 // equalsOf2 is the mirror of equalsOf1 for ontology-2 nodes.
-func (a *Aligner) equalsOf2(y store.Node, buf []weighted) []weighted {
+func (a *Aligner) equalsOf2(y store.Node, buf []weighted, lits *[]literal.Weighted) []weighted {
 	if y.IsLit() {
-		for _, c := range a.cfg.MatcherTo1.Candidates(y.Lit()) {
+		*lits = a.cfg.MatcherTo1.AppendCandidates((*lits)[:0], y.Lit())
+		for _, c := range *lits {
 			buf = append(buf, weighted{node: store.LitNode(c.Lit), p: c.P})
 		}
 		return buf

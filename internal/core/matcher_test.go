@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/literal"
+	"repro/internal/store"
 )
 
 // With the default identity matcher, a transliterated title ("Sugata
@@ -50,6 +51,27 @@ func TestFuzzyLiteralMatcherRecoversTransliterations(t *testing.T) {
 	}
 	if pFuzzy <= pPlain {
 		t.Fatalf("fuzzy matcher did not strengthen the pair: %v <= %v", pFuzzy, pPlain)
+	}
+}
+
+// The kernel's literal lookup appends the matcher's candidates into the
+// worker's scratch, so once the buffers have grown an identity hit
+// allocates nothing.
+func TestIdentityLiteralLookupAllocatesNothing(t *testing.T) {
+	o1, o2 := pair(t, o1Email, o2Email)
+	a := New(o1, o2, Config{})
+	l, ok := o1.Literals().Lookup("x@example.com")
+	if !ok {
+		t.Fatal("shared literal not interned")
+	}
+	y := store.LitNode(l)
+	var buf []weighted
+	var lits []literal.Weighted
+	if buf = a.equalsOf1(y, buf, &lits); len(buf) != 1 || buf[0].node != y || buf[0].p != 1 {
+		t.Fatalf("equalsOf1 = %+v, want the literal itself at probability 1", buf)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = a.equalsOf1(y, buf[:0], &lits) }); n != 0 {
+		t.Fatalf("identity literal lookup allocated %v times, want 0", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/literal"
 	"repro/internal/store"
 )
 
@@ -90,20 +91,22 @@ func (a *Aligner) subRelationPass() *subRelStore {
 // dense over the relations of the destination ontology: num accumulates the
 // numerators of the current row, seen marks the relations written, and
 // touched lists them, so draining the row costs only what it wrote. perStmt
-// holds the per-statement products, which touch only a few relations each.
+// holds the per-statement products, which touch only a few relations each;
+// lits is the literal matcher's scratch (see equalsOf1).
 type relScratch struct {
 	num        []float64
 	seen       []bool
 	touched    []store.Relation
 	perStmt    []relScore
 	xBuf, yBuf []weighted
+	lits       []literal.Weighted
 }
 
 // subRelDirection returns the rows {r': P(r ⊆ r')} for every relation r of
 // src, with r' ranging over relations of dst.
 func (a *Aligner) subRelDirection(
 	src, dst *store.Ontology,
-	equals func(store.Node, []weighted) []weighted,
+	equals func(store.Node, []weighted, *[]literal.Weighted) []weighted,
 ) [][]relScore {
 	out := make([][]relScore, src.NumRelations())
 	newScratch := func() *relScratch {
@@ -153,7 +156,7 @@ func (a *Aligner) subRelRow(
 	s *relScratch,
 	src, dst *store.Ontology,
 	r store.Relation,
-	equals func(store.Node, []weighted) []weighted,
+	equals func(store.Node, []weighted, *[]literal.Weighted) []weighted,
 ) float64 {
 	den := 0.0
 	count := 0
@@ -162,11 +165,11 @@ func (a *Aligner) subRelRow(
 		if count > a.cfg.PairLimit {
 			return false
 		}
-		s.xBuf = equals(x, s.xBuf[:0])
+		s.xBuf = equals(x, s.xBuf[:0], &s.lits)
 		if len(s.xBuf) == 0 {
 			return true
 		}
-		s.yBuf = equals(y, s.yBuf[:0])
+		s.yBuf = equals(y, s.yBuf[:0], &s.lits)
 		if len(s.yBuf) == 0 {
 			return true
 		}

@@ -34,7 +34,7 @@ func NewWarm(o1, o2 *store.Ontology, cfg Config, prior *ResultSnapshot) (*Aligne
 		return a, nil
 	}
 
-	eq := newEqStore(o1.NumResources(), o2.NumResources())
+	eq := newEqStore(o1.NumResources(), o2.NumResources(), a.cfg.AllEqualities)
 	for _, sa := range prior.Instances {
 		x1, ok1 := o1.LookupResource(sa.Key1)
 		x2, ok2 := o2.LookupResource(sa.Key2)

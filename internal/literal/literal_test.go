@@ -233,12 +233,19 @@ func TestIdentityMatcher(t *testing.T) {
 	foreign := lits.Intern("Carol") // interned but absent from o
 	m := IdentityMatcher{Target: o}
 	ann, _ := lits.Lookup("Ann")
-	got := m.Candidates(ann)
-	if len(got) != 1 || got[0].Lit != ann || got[0].P != 1 {
+	bob, _ := lits.Lookup("Bob")
+	prefix := []Weighted{{Lit: bob, P: 0.5}}
+	got := m.AppendCandidates(prefix, ann)
+	if len(got) != 2 || got[0] != prefix[0] || got[1].Lit != ann || got[1].P != 1 {
 		t.Fatalf("candidates = %v", got)
 	}
-	if m.Candidates(foreign) != nil {
-		t.Fatal("literal absent from target must have no candidates")
+	if got := m.AppendCandidates(prefix, foreign); len(got) != 1 || got[0] != prefix[0] {
+		t.Fatalf("literal absent from target must add no candidates, got %v", got)
+	}
+	// A hit appended into a reused buffer allocates nothing.
+	buf := make([]Weighted, 0, 1)
+	if n := testing.AllocsPerRun(100, func() { buf = m.AppendCandidates(buf[:0], ann) }); n != 0 {
+		t.Fatalf("identity hit allocated %v times per lookup, want 0", n)
 	}
 }
 
@@ -250,10 +257,13 @@ func TestIndexFuzzyMatch(t *testing.T) {
 	// constant block to compare all (dataset is tiny).
 	ix := NewIndex(o, func(string) string { return "" }, Levenshtein{MinSim: 0.5}, WithMaxCandidates(2))
 	q := lits.Intern("Sanshiro Sugato")
-	got := ix.Candidates(q)
-	if len(got) == 0 {
-		t.Fatal("no candidates for near-identical title")
+	// The cap applies to the appended candidates only; dst's prefix stays.
+	prefix := Weighted{Lit: q, P: 0.25}
+	got := ix.AppendCandidates([]Weighted{prefix}, q)
+	if len(got) < 2 || len(got) > 3 || got[0] != prefix {
+		t.Fatalf("appended candidates = %v, want the prefix then 1-2 candidates", got)
 	}
+	got = got[1:]
 	best := got[0]
 	if lits.Value(best.Lit) != "Sanshiro Sugata" {
 		// maxCand sorting puts best first only when over cap; find it.
@@ -279,13 +289,13 @@ func TestIndexBlocksSeparateBuckets(t *testing.T) {
 		return s[:1]
 	}, Levenshtein{}, nil...)
 	q := lits.Intern("aple")
-	for _, w := range ix.Candidates(q) {
+	for _, w := range ix.AppendCandidates(nil, q) {
 		if lits.Value(w.Lit)[0] != 'a' {
 			t.Fatalf("candidate from wrong block: %v", lits.Value(w.Lit))
 		}
 	}
 	missing := lits.Intern("zebra")
-	if got := ix.Candidates(missing); got != nil {
+	if got := ix.AppendCandidates(nil, missing); got != nil {
 		t.Fatalf("empty block should yield nil, got %v", got)
 	}
 }

@@ -15,9 +15,11 @@ type Weighted struct {
 
 // Matcher produces, for a literal of one ontology, the literals of the
 // target ontology it could be equal to, with clamped probabilities
-// (Section 5.3). Implementations must be safe for concurrent use.
+// (Section 5.3). AppendCandidates appends them to dst and returns the
+// extended slice, so a caller can reuse one buffer across lookups.
+// Implementations must be safe for concurrent use.
 type Matcher interface {
-	Candidates(l store.Lit) []Weighted
+	AppendCandidates(dst []Weighted, l store.Lit) []Weighted
 }
 
 // IdentityMatcher is the paper's default matcher: a literal is equal only to
@@ -28,12 +30,12 @@ type IdentityMatcher struct {
 	Target *store.Ontology
 }
 
-// Candidates implements Matcher.
-func (m IdentityMatcher) Candidates(l store.Lit) []Weighted {
+// AppendCandidates implements Matcher.
+func (m IdentityMatcher) AppendCandidates(dst []Weighted, l store.Lit) []Weighted {
 	if !m.Target.HasLiteral(l) {
-		return nil
+		return dst
 	}
-	return []Weighted{{Lit: l, P: 1}}
+	return append(dst, Weighted{Lit: l, P: 1})
 }
 
 // Index is a fuzzy matcher: literals of the target ontology are blocked by a
@@ -96,24 +98,19 @@ func NewIndex(target *store.Ontology, block func(string) string, cmp Comparator,
 	return ix
 }
 
-// Candidates implements Matcher.
-func (ix *Index) Candidates(l store.Lit) []Weighted {
+// AppendCandidates implements Matcher.
+func (ix *Index) AppendCandidates(dst []Weighted, l store.Lit) []Weighted {
 	value := ix.target.Literals().Value(l)
-	key := ix.block(value)
-	bucket := ix.buckets[key]
-	if len(bucket) == 0 {
-		return nil
-	}
-	out := make([]Weighted, 0, len(bucket))
-	for _, cand := range bucket {
+	n := len(dst)
+	for _, cand := range ix.buckets[ix.block(value)] {
 		sim := ix.cmp.Sim(value, ix.target.Literals().Value(cand))
 		if sim >= ix.minSim {
-			out = append(out, Weighted{Lit: cand, P: sim})
+			dst = append(dst, Weighted{Lit: cand, P: sim})
 		}
 	}
-	if ix.maxCand > 0 && len(out) > ix.maxCand {
+	if out := dst[n:]; ix.maxCand > 0 && len(out) > ix.maxCand {
 		sort.Slice(out, func(i, j int) bool { return out[i].P > out[j].P })
-		out = out[:ix.maxCand]
+		dst = dst[:n+ix.maxCand]
 	}
-	return out
+	return dst
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
@@ -211,6 +212,8 @@ type KB struct {
 	typeSubs map[string][]node   // super-class key -> cross-KB subclass clusters
 
 	numStmts int
+
+	planCalls atomic.Uint64 // plans built by newPlan, cached or not
 }
 
 // KB1 returns the first ontology's display name.

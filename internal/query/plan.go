@@ -65,6 +65,7 @@ type plan struct {
 
 // newPlan compiles and orders a parsed query against the KB.
 func (kb *KB) newPlan(q *Query) *plan {
+	kb.planCalls.Add(1)
 	slotOf := make(map[string]int, len(q.Vars))
 	for i, v := range q.Vars {
 		slotOf[v] = i

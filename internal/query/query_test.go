@@ -419,6 +419,27 @@ func TestPlanCacheHitsBeatColdPlanning(t *testing.T) {
 	t.Logf("%d preparations: cold %v, cached %v (%.1fx)", reps, cold, warm, float64(cold)/float64(warm))
 }
 
+// TestPlanCacheHitDoesNotReplan: the first Prepare of a shape plans it, and
+// every later Prepare of that shape, under any variable names, is a hit that
+// plans nothing. Counting planner calls catches a hit that re-plans every
+// time, where comparing times catches it only when planning is slow.
+func TestPlanCacheHitDoesNotReplan(t *testing.T) {
+	kb := tinyKB(t)
+	e := query.NewEngine(kb, 0)
+	before := kb.PlanCalls()
+	const reps = 50
+	for i := 0; i < reps; i++ {
+		src := fmt.Sprintf(`?d%d <%sdirected> ?m%d . ?m%d a <%sMovie> . ?d%d <%sname> ?n%d`,
+			i, tns1, i, i, tns2, i, tns1, i)
+		if _, hit, err := e.Prepare(src); err != nil || hit != (i > 0) {
+			t.Fatalf("prepare %d: hit=%v err=%v, want hit=%v", i, hit, err, i > 0)
+		}
+	}
+	if got := kb.PlanCalls() - before; got != 1 {
+		t.Fatalf("%d preparations of one shape planned %d times, want 1", reps, got)
+	}
+}
+
 // TestPlanCacheSingleFlight: concurrent first preparations of one shape
 // plan it once; the callers that arrive while it is planned wait for that
 // plan and count as hits. Each round bursts 8 callers at a new shape, so a

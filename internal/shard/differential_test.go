@@ -153,6 +153,40 @@ func newShardFleet(t *testing.T, n int) ([]*client.Client, *shard.Router, string
 	return peers, rt, rts.URL
 }
 
+// newReplicaGroups starts nGroups shard groups of nReplicas servers each,
+// returning the replicas' clients and test servers by group and the
+// router's topology elements.
+func newReplicaGroups(t *testing.T, nGroups, nReplicas int, logf func(string, ...any)) (
+	groups [][]*client.Client, servers [][]*httptest.Server, elements []string) {
+	t.Helper()
+	groups = make([][]*client.Client, nGroups)
+	servers = make([][]*httptest.Server, nGroups)
+	for i := 0; i < nGroups; i++ {
+		var urls []string
+		for j := 0; j < nReplicas; j++ {
+			srv, err := server.New(server.Options{
+				StateDir: t.TempDir(), ShardIndex: i, ShardCount: nGroups, Logf: logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			// httptest.Server.Close is idempotent; a test that kills a
+			// replica closes it twice (mid-test and here) without harm.
+			t.Cleanup(func() { ts.Close(); srv.Close() })
+			peer, err := client.New(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups[i] = append(groups[i], peer)
+			servers[i] = append(servers[i], ts)
+			urls = append(urls, ts.URL)
+		}
+		elements = append(elements, strings.Join(urls, ","))
+	}
+	return groups, servers, elements
+}
+
 func batchBody(kb string, keys []string) string {
 	var sb strings.Builder
 	sb.WriteString(`{"kb":` + fmt.Sprintf("%q", kb) + `,"keys":[`)
@@ -645,33 +679,8 @@ func TestDifferentialReplicatedDegraded(t *testing.T) {
 	}
 
 	// ---- 3 shard groups x 2 replicas. ----
-	const nGroups, nReplicas = 3, 2
-	groups := make([][]*client.Client, nGroups)
-	servers := make([][]*httptest.Server, nGroups)
-	var elements []string
-	for i := 0; i < nGroups; i++ {
-		var urls []string
-		for j := 0; j < nReplicas; j++ {
-			srv, err := server.New(server.Options{
-				StateDir: t.TempDir(), ShardIndex: i, ShardCount: nGroups, Logf: t.Logf,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			// httptest.Server.Close is idempotent; the killed replicas are
-			// closed twice (mid-test and here) without harm.
-			t.Cleanup(func() { ts.Close(); srv.Close() })
-			peer, err := client.New(ts.URL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			groups[i] = append(groups[i], peer)
-			servers[i] = append(servers[i], ts)
-			urls = append(urls, ts.URL)
-		}
-		elements = append(elements, strings.Join(urls, ","))
-	}
+	const nGroups = 3
+	groups, servers, elements := newReplicaGroups(t, nGroups, 2, t.Logf)
 	if err := shard.PublishGroups(ctx, groups, v1, snap); err != nil {
 		t.Fatal(err)
 	}

@@ -263,14 +263,7 @@ func TestRouterShardHTTPErrorIsAnAnswer(t *testing.T) {
 		t.Fatalf("scatter: %d %s, want 400", r.code, r.body)
 	}
 
-	var b strings.Builder
-	rt.MetricsRegistry().WriteText(&b)
-	if strings.Contains(b.String(), "paris_router_shard_errors_total{") {
-		t.Errorf("a shard's 400 counted as a transport failure:\n%s", b.String())
-	}
-	if traces := rt.Recorder().ErrorTraces(); len(traces) != 0 {
-		t.Errorf("recorder retained %d error trace(s) for answered reads: %+v", len(traces), traces)
-	}
+	noShardErrors(t, rt)
 }
 
 // TestRouterReadyz: the router is alive from the start but not ready until

@@ -50,11 +50,27 @@ func seriesValue(t *testing.T, text, series string) float64 {
 	return 0
 }
 
+// noShardErrors fails the test when the router counted a transport failure
+// against any replica or retained an error trace.
+func noShardErrors(t *testing.T, rt *shard.Router) {
+	t.Helper()
+	var b strings.Builder
+	rt.MetricsRegistry().WriteText(&b)
+	if strings.Contains(b.String(), "paris_router_shard_errors_total{") {
+		t.Errorf("an answered or canceled attempt counted as a transport failure:\n%s", b.String())
+	}
+	if traces := rt.Recorder().ErrorTraces(); len(traces) != 0 {
+		t.Errorf("recorder retained %d error trace(s) for answered reads: %+v", len(traces), traces)
+	}
+}
+
 // TestHedgedReadCancelsLoser: one group of two replicas, one of them slow
 // on the read path. Reads landing on the slow replica — single GETs and
 // batch sub-requests alike — must hedge to the fast one after the budget,
 // win there, and cancel the slow attempt, seen from the slow replica's
-// side as a canceled request context.
+// side as a canceled request context. The router canceled the loser, so
+// the loser is no transport failure: no shard error series, and no error
+// trace for the answered reads.
 func TestHedgedReadCancelsLoser(t *testing.T) {
 	ctx := context.Background()
 	d := gen.Persons(gen.PersonsConfig{N: 40, Seed: 7})
@@ -177,6 +193,53 @@ func TestHedgedReadCancelsLoser(t *testing.T) {
 	if n := canceledBatches.Load(); n < 1 {
 		t.Errorf("slow replica saw %d canceled batch requests, want >= 1", n)
 	}
+	noShardErrors(t, rt)
+}
+
+// TestFailedBatchCancelsSiblingsWithoutFailover: on a healthy 3x2 fleet,
+// every group answers a bogus-kb batch with 400, and the first 400 cancels
+// the sibling sub-batches still in flight. A canceled sibling must neither
+// count as a transport failure nor fail over to the next replica on its
+// dead context: after many such batches the failover counter reads 0, no
+// shard error series exists, and no error trace is retained.
+func TestFailedBatchCancelsSiblingsWithoutFailover(t *testing.T) {
+	ctx := context.Background()
+	quiet := func(string, ...any) {}
+	groups, _, elements := newReplicaGroups(t, 3, 2, quiet)
+	d := gen.Persons(gen.PersonsConfig{N: 40, Seed: 7})
+	o1, o2, err := d.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := diskstore.SnapshotID(1)
+	if err := shard.PublishGroups(ctx, groups, id, core.New(o1, o2, core.Config{}).Run().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := shard.NewRouter(elements, shard.WithLogf(quiet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	if epoch, err := rt.Refresh(ctx); err != nil || epoch != id {
+		t.Fatalf("Refresh = %q, %v; want %q", epoch, err, id)
+	}
+
+	// 64 keys reach every group, so every batch fans out three ways.
+	var keys []string
+	for _, p := range d.Gold.Pairs() {
+		keys = append(keys, p[0])
+	}
+	body := batchBody("bogus", keys[:64])
+	for i := 0; i < 200; i++ {
+		if r := post(t, rts.URL, "/v1/sameas", body); r.code != http.StatusBadRequest {
+			t.Fatalf("batch %d: %d %s, want 400", i, r.code, r.body)
+		}
+	}
+	if v := counterValue(t, rt, "paris_router_failovers_total"); v != 0 {
+		t.Errorf("paris_router_failovers_total = %v on a healthy fleet, want 0", v)
+	}
+	noShardErrors(t, rt)
 }
 
 // TestRefreshCrossesEightDigitBoundary: the epoch must advance from

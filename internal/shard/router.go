@@ -444,12 +444,17 @@ type attempt[T any] struct {
 // every replica would report the same — and the losers are canceled and
 // drained off-path, discard (when non-nil) releasing any answer they still
 // produce. Only a transport failure counts against a replica: it fails the
-// attempt's span and raises the per-replica error counter. Each attempt
-// gets its own child span — a merged router+shard trace reads http → shard
-// → http — tagged with the batch size when keys > 0, and is timed into the
+// attempt's span and raises the per-replica error counter. An attempt whose
+// context was canceled before it answered — a hedge loser, a sibling
+// sub-batch of a batch another group already failed, a client gone — is no
+// failure: its span is tagged canceled instead. Each attempt gets its own
+// child span — a merged router+shard trace reads http → shard → http —
+// tagged with the batch size when keys > 0, and is timed into the
 // per-replica histogram.
 //
-// The winner's context stays alive until the caller calls release, so a
+// Once ctx is done, race launches no hedge and no failover: it waits for
+// the attempts in flight, which ctx cancels, and returns the last. The
+// winner's context stays alive until the caller calls release, so a
 // streamed body can still be read. When every replica failed, race returns
 // the last attempt, with its transport error and duration.
 func race[T any](ctx context.Context, rt *Router, shard int, pin string, budget time.Duration, keys int,
@@ -480,10 +485,14 @@ func race[T any](ctx context.Context, rt *Router, shard int, pin string, budget 
 			val, err := try(sctx, rep)
 			a := attempt[T]{idx: idx, val: val, err: err, answered: err == nil || isServerError(err),
 				dur: time.Since(start), hedged: hedged}
-			rt.met.shardDone(shard, rep.idx, a.dur.Seconds(), !a.answered)
+			canceled := !a.answered && errors.Is(actx.Err(), context.Canceled)
+			failed := !a.answered && !canceled
+			rt.met.shardDone(shard, rep.idx, a.dur.Seconds(), failed)
 			rep.noteOutcome(err)
-			if !a.answered {
+			if failed {
 				sp.Fail(err)
+			} else if canceled {
+				sp.Set("canceled", true)
 			}
 			sp.End()
 			results <- a
@@ -495,7 +504,7 @@ func race[T any](ctx context.Context, rt *Router, shard int, pin string, budget 
 	for {
 		select {
 		case <-hedge.C:
-			if launched < len(cands) {
+			if launched < len(cands) && ctx.Err() == nil {
 				launch(true)
 			}
 		case a := <-results:
@@ -521,7 +530,7 @@ func race[T any](ctx context.Context, rt *Router, shard int, pin string, budget 
 				return a, cancels[a.idx]
 			}
 			cancels[a.idx]()
-			if launched < len(cands) {
+			if launched < len(cands) && ctx.Err() == nil {
 				rt.met.failovers.Inc()
 				launch(false)
 			} else if received == launched {
