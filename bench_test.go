@@ -543,12 +543,13 @@ func BenchmarkShardedLookupBatch(b *testing.B) {
 }
 
 // BenchmarkIngestThroughput times the streaming parallel KB loader on a
-// 96 MiB synthetic dump: block scan → parallel parse → in-order delivery.
-// It reports parse throughput (triples/s, MB/s via SetBytes) and the peak
-// heap growth observed while the pipeline runs. The pipeline holds a
-// bounded window of blocks, not the dump, so the benchmark fails when
-// "peak-MB" reaches half of "dump-MB". GC is tightened for the measurement
-// so the sampler sees the pipeline's live footprint, not collector slack.
+// 96 MiB synthetic dump at the shipped block size (ingest.DefaultBlockSize):
+// block scan → parallel parse → in-order delivery. It reports parse
+// throughput (triples/s, MB/s via SetBytes) and the peak heap growth
+// observed while the pipeline runs. The pipeline holds a bounded window of
+// blocks, not the dump, so the benchmark fails when "peak-MB" reaches half
+// of "dump-MB". GC is tightened for the measurement so the sampler sees the
+// pipeline's live footprint, not collector slack.
 func BenchmarkIngestThroughput(b *testing.B) {
 	const dumpSize = 96 << 20
 	var doc strings.Builder
@@ -597,8 +598,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stats, err := ingest.Run(context.Background(), strings.NewReader(input), ingest.Options{
-			Workers:   4,
-			BlockSize: 256 << 10,
+			Workers: 4,
 		}, func(rdf.Triple) error { return nil })
 		if err != nil {
 			b.Fatal(err)

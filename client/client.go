@@ -75,8 +75,9 @@ type (
 	SnapshotInfo = server.SnapshotInfo
 	// JobEvent is one frame of a job's SSE progress stream (WatchJob).
 	JobEvent = server.JobEvent
-	// IngestProgress is the cumulative per-block state of a streaming KB
-	// load, carried on Job.Ingest and in "ingest" JobEvents.
+	// IngestProgress is the cumulative state of a streaming KB load,
+	// carried on Job.Ingest and in "ingest" JobEvents: sent at most once
+	// per MiB of input, plus once with each load's final totals.
 	IngestProgress = server.IngestProgress
 	// UploadRecord is the submission recorded on a KB ingest job.
 	UploadRecord = server.UploadRecord
@@ -359,10 +360,11 @@ func (e *UploadError) Error() string {
 // UploadKB streams a (possibly gzipped) N-Triples dump from r to the server
 // (POST /v1/kbs, chunked body) and returns the accepted ingest job: the
 // server validates the dump through its streaming parallel pipeline —
-// follow the per-block progress with WatchJob or WaitJob — and commits it
-// for use in later SubmitJob calls (Job.KB holds the committed path once
-// done). An interrupted or refused upload keeps its spooled bytes
-// server-side; the returned *UploadError carries the offset to resume from.
+// follow its progress, about once per MiB, with WatchJob or WaitJob — and
+// commits it for use in later SubmitJob calls (Job.KB holds the committed
+// path once done). An interrupted or refused upload keeps its spooled
+// bytes server-side; the returned *UploadError carries the offset to
+// resume from.
 func (c *Client) UploadKB(ctx context.Context, req UploadKBRequest, r io.Reader) (Job, error) {
 	var j Job
 	v := url.Values{"name": {req.Name}}
@@ -419,9 +421,10 @@ func (c *Client) KBs(ctx context.Context) ([]KBInfo, error) {
 // WatchJob streams a job's progress over SSE (GET /v1/jobs/{id} with
 // Accept: text/event-stream) until it reaches a terminal state, calling
 // onEvent (may be nil) for every frame — "state" first, then "iteration"
-// per fixpoint pass and "ingest" per streaming-load block, and finally
-// "done". It returns the terminal job record. Unlike WaitJob it needs no
-// polling interval: events arrive as the server produces them.
+// per fixpoint pass and "ingest" about once per MiB of each streaming load
+// (and once with its final totals), and finally "done". It returns the
+// terminal job record. Unlike WaitJob it needs no polling interval: events
+// arrive as the server produces them.
 func (c *Client) WatchJob(ctx context.Context, id string, onEvent func(JobEvent)) (Job, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.base+"/v1/jobs/"+url.PathEscape(id), nil)

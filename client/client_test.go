@@ -466,7 +466,7 @@ func TestClientPutSnapshot(t *testing.T) {
 
 // TestClientUploadAndWatch drives the push-based ingestion surface:
 // UploadKB streams a gzipped dump as a chunked body, WatchJob follows the
-// ingest job's per-block SSE progress to completion, the committed KB
+// ingest job's SSE progress to completion, the committed KB
 // aligns via its kb: reference, and an interrupted upload resumes from the
 // offset the *UploadError reports.
 func TestClientUploadAndWatch(t *testing.T) {

@@ -59,7 +59,7 @@
 // "kb:<name>". An interrupted upload keeps its spooled bytes: GET /v1/kbs
 // reports the offset, and re-POSTing with ?offset=M appends the remainder
 // instead of starting over. Alignment jobs load their KB files through the
-// same pipeline, with per-block progress on the job record.
+// same pipeline, with progress on the job record about once per MiB.
 //
 // GET /v1/jobs/{id} with "Accept: text/event-stream" streams job progress
 // as server-sent events (state, iteration, ingest, done frames) instead of

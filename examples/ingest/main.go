@@ -1,7 +1,7 @@
 // Push-based KB ingestion walkthrough: stream a gzipped N-Triples dump to
 // a remote aligner with client.UploadKB instead of copying files to its
-// disk, follow the ingest job's per-block progress over the SSE stream
-// with client.WatchJob, recover an interrupted upload from the offset the
+// disk, follow the ingest job's progress over the SSE stream with
+// client.WatchJob, recover an interrupted upload from the offset the
 // server reports, and align the pushed KB by its "kb:" reference — an
 // in-process parisd stands in for the real daemon.
 package main
@@ -76,12 +76,12 @@ func main() {
 	}
 	fmt.Printf("upload accepted as %s (%d bytes spooled)\n", job.ID, job.Upload.Bytes)
 
-	// Follow the validation over SSE: one "ingest" frame per parsed
-	// block, then "done" with the committed path.
+	// Follow the validation over SSE: an "ingest" frame per MiB of input
+	// and one with the totals, then "done" with the committed path.
 	final, err := c.WatchJob(ctx, job.ID, func(ev client.JobEvent) {
 		if ev.Type == client.EventIngest && ev.Job.Ingest != nil {
 			p := ev.Job.Ingest
-			fmt.Printf("  block %d: %d triples, %d bytes\n",
+			fmt.Printf("  %d blocks: %d triples, %d bytes\n",
 				p.Blocks, p.Triples, p.Bytes)
 		}
 	})

@@ -162,8 +162,10 @@ func (a *Aligner) expandBridge(s *instScratch, invFunR float64, w weighted) {
 		// The ontology-2 statement is q(y', x'), i.e. r'(x', y') with
 		// r' = q⁻¹.
 		rp := e2.Rel.Inverse()
-		f := (1 - s.p21[rp]*invFunR*w.p) *
-			(1 - s.p12[rp]*a.fun2[rp.Inverse()]*w.p)
+		// Each float64 conversion rounds its product, so no architecture
+		// fuses 1 - x*y into one FMA and the digests hold everywhere.
+		f := (1 - float64(s.p21[rp]*invFunR*w.p)) *
+			(1 - float64(s.p12[rp]*a.fun2[rp.Inverse()]*w.p))
 		if f == 1 {
 			continue
 		}
@@ -203,8 +205,8 @@ func (a *Aligner) negativeEvidence(s *instScratch, links [][]relLink, edges []st
 					break
 				}
 			}
-			pr2 *= (1 - funR*link.p21*inner) *
-				(1 - a.fun2[link.rel]*link.p12*inner)
+			pr2 *= (1 - float64(funR*link.p21*inner)) *
+				(1 - float64(a.fun2[link.rel]*link.p12*inner))
 			if pr2 == 0 {
 				return 0
 			}

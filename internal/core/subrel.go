@@ -178,7 +178,7 @@ func (a *Aligner) subRelRow(
 		perStmt := s.perStmt[:0]
 		for _, wx := range s.xBuf {
 			for _, wy := range s.yBuf {
-				pp := wx.p * wy.p
+				pp := float64(wx.p * wy.p) // rounded: no fused 1 - x*y
 				denProd *= 1 - pp
 				// Numerator: which dst relations connect x' to y'?
 				for _, e := range edgesFrom(dst, wx.node) {

@@ -219,8 +219,15 @@ func TestDifferentialMoviesCorpus(t *testing.T) {
 	runDifferential(t, gen.Movies(gen.MoviesConfig{Seed: 11, People: 400, Movies: 120}), 1)
 }
 
-// TestDifferentialWorldCorpus runs the full-size world corpus, whose
-// smaller file still spans 4 default 1 MiB blocks.
+// TestDifferentialPersonsCorpus runs the align_person corpus (N=500), whose
+// KBs of about 0.75 MB each span 12 default 64 KiB blocks, so the order
+// across blocks is checked on the input the persons workload loads.
+func TestDifferentialPersonsCorpus(t *testing.T) {
+	runDifferential(t, gen.Persons(gen.PersonsConfig{N: 500, Seed: 3}), 8)
+}
+
+// TestDifferentialWorldCorpus runs the full-size world corpus, whose files
+// span 101 and 60 default 64 KiB blocks.
 func TestDifferentialWorldCorpus(t *testing.T) {
-	runDifferential(t, gen.World(gen.WorldConfig{Seed: 11}), 4)
+	runDifferential(t, gen.World(gen.WorldConfig{Seed: 11}), 60)
 }

@@ -13,7 +13,8 @@
 //
 // Memory is bounded by a read-ahead window, not by the dump: the scanner
 // stalls once 2×Workers parsed or pending blocks wait for the consumer, so a
-// multi-GB dump passes through a few blocks at a time.
+// multi-GB dump passes through a few blocks at a time. At the default 64 KiB
+// block and 2 workers the window holds 256 KiB of input and its triples.
 //
 // Each block is copied once, from the scanner's reused read buffer into a
 // string; the IRIs, blank labels and unescaped literal values of its triples
@@ -67,7 +68,9 @@ type Options struct {
 
 	// Progress, when non-nil, receives the cumulative pipeline counters
 	// after every block the consumer has taken, on the goroutine that
-	// called Run. Keep the callback fast.
+	// called Run: 16 times per MiB at the default block size. Keep the
+	// callback fast, and thin the calls before forwarding them anywhere
+	// costly, such as a job record and its SSE stream.
 	Progress func(Progress)
 }
 

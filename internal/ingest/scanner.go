@@ -9,13 +9,17 @@ import (
 )
 
 // Default scanner geometry. Blocks are the unit of parallelism (one parse
-// task each) and of cancellation (the context is checked per block), so they
-// should be large enough to amortize channel traffic and small enough that
-// tail latency and cancel response stay in the milliseconds.
+// task each) and of cancellation (the context is checked per block). The
+// consumer starts building on a file's first parsed block, so blocks must be
+// small against a typical KB for scan, parse and build to overlap: a 0.75 MB
+// KB in one block is parsed by one worker while the others idle and the
+// builder waits. On 2 vCPUs 64 KiB loads a persons pair (N=500) about twice
+// as fast as 1 MiB and a world pair about 17% faster; 16 and 32 KiB add
+// channel traffic per byte without further overlap on the world corpus.
 const (
 	// DefaultBlockSize is the target block payload, before extension to the
 	// next line boundary.
-	DefaultBlockSize = 1 << 20
+	DefaultBlockSize = 64 << 10
 	// DefaultMaxLine bounds a single line, matching the sequential reader's
 	// bufio.Scanner cap, so the two paths accept the same inputs.
 	DefaultMaxLine = 16 << 20

@@ -79,7 +79,9 @@ func (j JaroWinkler) score(a, b []rune) float64 {
 		k++
 	}
 	m := float64(matches)
-	jaro := (m/float64(len(a)) + m/float64(len(b)) + (m-float64(transpositions)/2)/m) / 3
+	// Each float64 conversion rounds its product (x/2 compiles to x*0.5),
+	// so no architecture fuses it into an FMA and scores agree everywhere.
+	jaro := (m/float64(len(a)) + m/float64(len(b)) + (m-float64(float64(transpositions)/2))/m) / 3
 
 	// Winkler prefix bonus, up to 4 shared leading characters.
 	scale := j.PrefixScale
@@ -93,7 +95,7 @@ func (j JaroWinkler) score(a, b []rune) float64 {
 	for prefix < len(a) && prefix < len(b) && prefix < 4 && a[prefix] == b[prefix] {
 		prefix++
 	}
-	return jaro + float64(prefix)*scale*(1-jaro)
+	return jaro + float64(float64(prefix)*scale*(1-jaro))
 }
 
 // DateProximity compares date literals: identical calendar dates score 1

@@ -75,8 +75,10 @@ type DeltaRequest struct {
 	Workers       int `json:"workers,omitempty"`
 }
 
-// IngestProgress is the cumulative per-block state of a streaming KB load:
-// consumed blocks and bytes, parsed and skipped triples.
+// IngestProgress is the cumulative state of a streaming KB load: consumed
+// blocks and bytes, parsed and skipped triples. A job record receives it at
+// most once per MiB of input plus once with the load's final totals (or,
+// when the load fails, its last block); see Server.loadProgress.
 // Phase names the load the counters belong to — "kb1"/"kb2" for the two
 // loads of an alignment job, the KB name for an upload validation — since
 // a job's Ingest slot holds the *current* load: consumers watching an
@@ -128,10 +130,11 @@ type Job struct {
 	// fixpoint iteration, so GET /jobs/{id} reports live progress.
 	Iterations []core.IterationStats `json:"iterations,omitempty"`
 
-	// Ingest is the latest per-block progress of the streaming loads a job
-	// performs: the upload validation of an ingest job, or the KB loads at
-	// the start of an align job. The pointee is immutable (updates replace
-	// the pointer), so clones may share it.
+	// Ingest is the latest progress of the streaming loads a job performs,
+	// updated about once per MiB and with each load's final totals: the
+	// upload validation of an ingest job, or the KB loads at the start of
+	// an align job. The pointee is immutable (updates replace the
+	// pointer), so clones may share it.
 	Ingest *IngestProgress `json:"ingest,omitempty"`
 
 	// Error holds the failure cause when State is failed.

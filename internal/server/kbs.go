@@ -7,7 +7,7 @@ package server
 // (possibly gzipped) N-Triples dump as a chunked request body, the server
 // spools it, and a job on the shared worker pool validates it through the
 // streaming ingest pipeline (parallel block parsing in bounded memory,
-// per-block progress on the job record and its SSE stream) before
+// progress about once per MiB on the job record and its SSE stream) before
 // committing it into <state>/kbs/ for later POST /v1/jobs use.
 //
 // Error semantics are resumable: a connection that dies mid-body leaves the
@@ -392,11 +392,11 @@ func (s *Server) resolveKBRef(ref string) (string, error) {
 }
 
 // ingestKB executes one KindIngest job on a worker: stream the spooled
-// upload through the parallel pipeline (validation + triple count, per-block
-// progress onto the job record), then commit the spool under its final
-// name. A failed or canceled validation keeps the spool, so the bytes never
-// have to be pushed twice; a corrupt dump is replaced by re-POSTing from
-// offset 0.
+// upload through the parallel pipeline (validation + triple count, progress
+// onto the job record paced by loadProgress), then commit the spool under
+// its final name. A failed or canceled validation keeps the spool, so the
+// bytes never have to be pushed twice; a corrupt dump is replaced by
+// re-POSTing from offset 0.
 func (s *Server) ingestKB(ctx context.Context, id string, rec UploadRecord) (string, error) {
 	// The spool must not change underfoot: hold the upload lock for the
 	// whole validation, so a resume POST for the same name waits its turn
@@ -432,14 +432,12 @@ func (s *Server) ingestKB(ctx context.Context, id string, rec UploadRecord) (str
 		defer zr.Close()
 		r = zr
 	}
-	feed := s.met.ingestFeeder()
+	progress, flush := s.loadProgress(id, rec.Name)
 	stats, err := ingest.Run(ctx, r, ingest.Options{
-		Workers: s.opts.IngestWorkers,
-		Progress: func(p ingest.Progress) {
-			feed(p)
-			s.jobs.ingestProgress(id, IngestProgress{Progress: p, Phase: rec.Name})
-		},
+		Workers:  s.opts.IngestWorkers,
+		Progress: progress,
 	}, func(rdf.Triple) error { return nil })
+	flush()
 	if err != nil {
 		return "", fmt.Errorf("kb %q: %w", rec.Name, err)
 	}

@@ -9,16 +9,19 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/ingest"
 	"repro/internal/rdf"
 )
 
@@ -95,7 +98,7 @@ func TestUploadKBEndToEnd(t *testing.T) {
 		t.Fatalf("committed KB paths missing: %q, %q", fin1.KB, fin2.KB)
 	}
 	if fin1.Ingest == nil || fin1.Ingest.Triples == 0 {
-		t.Fatalf("ingest job carries no per-block progress: %+v", fin1.Ingest)
+		t.Fatalf("ingest job carries no ingest progress: %+v", fin1.Ingest)
 	}
 
 	// The listing shows both as ready.
@@ -393,6 +396,118 @@ func TestIngestJobSSEStreamsBlocks(t *testing.T) {
 	}
 	if last.Job.Ingest == nil || last.Job.Ingest.Triples == 0 {
 		t.Fatalf("done event carries no ingest totals: %+v", last.Job.Ingest)
+	}
+}
+
+// TestIngestEventsPacedPerMiB pins how often a job forwards streaming-load
+// progress: at most once per MiB of input plus once where the load ended,
+// although the pipeline reports every 64 KiB block. It runs an align job over
+// two KB files, an upload and a failing upload, each over 1 MiB, with an SSE
+// watch subscribed before the job starts.
+func TestIngestEventsPacedPerMiB(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, filepath.Join(dir, "state"), 1)
+	defer srv.Close()
+	defer ts.Close()
+	d := writePersonsKB(t, dir, 1000)
+
+	// reached is the pipeline's progress after the last block it consumed
+	// from doc: the totals, or where a failing document stopped. Run's
+	// error is the upload job's to report, so it is dropped here.
+	reached := func(doc []byte) ingest.Progress {
+		t.Helper()
+		var last ingest.Progress
+		_, _ = ingest.Run(context.Background(), bytes.NewReader(doc), ingest.Options{
+			Progress: func(p ingest.Progress) { last = p },
+		}, func(rdf.Triple) error { return nil })
+		if last.Bytes <= 1<<20 {
+			t.Fatalf("document reaches %d bytes; the test needs more than 1 MiB", last.Bytes)
+		}
+		last.Elapsed = 0
+		return last
+	}
+	// watch releases the held job once its SSE watch is live, and returns
+	// the ingest events per phase and the terminal record.
+	release := make(chan struct{}, 1)
+	srv.testBeforeAlign = func(string) { <-release }
+	watch := func(id string) (map[string][]ingest.Progress, Job) {
+		t.Helper()
+		events := readSSE(t, ts.URL, id, func() { release <- struct{}{} })
+		perPhase := map[string][]ingest.Progress{}
+		for _, ev := range events {
+			if ev.Type == EventIngest {
+				p := ev.Job.Ingest.Progress
+				p.Elapsed = 0
+				perPhase[ev.Job.Ingest.Phase] = append(perPhase[ev.Job.Ingest.Phase], p)
+			}
+		}
+		return perPhase, events[len(events)-1].Job
+	}
+	// check bounds one load's events and requires the last to be where the
+	// load ended.
+	check := func(phase string, got []ingest.Progress, want ingest.Progress) {
+		t.Helper()
+		limit := int(want.Bytes>>20) + 1
+		if len(got) == 0 || len(got) > limit {
+			t.Fatalf("%s: %d ingest events for %d bytes, want 1..%d", phase, len(got), want.Bytes, limit)
+		}
+		if last := got[len(got)-1]; last != want {
+			t.Fatalf("%s: last ingest event %+v, want %+v", phase, last, want)
+		}
+	}
+	// checkFinal requires a job's terminal record to carry where its last
+	// load ended.
+	checkFinal := func(final Job, phase string, want ingest.Progress) {
+		t.Helper()
+		if final.Ingest == nil || final.Ingest.Phase != phase {
+			t.Fatalf("job %s's final ingest %+v, want phase %s", final.ID, final.Ingest, phase)
+		}
+		p := final.Ingest.Progress
+		p.Elapsed = 0
+		if p != want {
+			t.Fatalf("job %s's final ingest %+v, want %+v", final.ID, p, want)
+		}
+	}
+
+	var want [2]ingest.Progress
+	for i, name := range []string{d.Name1, d.Name2} {
+		doc, err := os.ReadFile(filepath.Join(dir, name+".nt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = reached(doc)
+	}
+	j := postJob(t, ts.URL, JobRequest{
+		KB1:           filepath.Join(dir, d.Name1+".nt"),
+		KB2:           filepath.Join(dir, d.Name2+".nt"),
+		MaxIterations: 1,
+	})
+	events, final := watch(j.ID)
+	if final.State != JobDone || len(events) != 2 {
+		t.Fatalf("align job %s (%s) with ingest events for %v, want done with kb1 and kb2", final.State, final.Error, events)
+	}
+	check("kb1", events["kb1"], want[0])
+	check("kb2", events["kb2"], want[1])
+	checkFinal(final, "kb2", want[1])
+
+	doc, _, _ := corpusDocs(t, 1000)
+	// A bare carriage return in the last line fails the whole upload.
+	broken := append(doc[:len(doc):len(doc)], "<http://x/a> <http://x/b> \"bare\rcr\" .\n"...)
+	for _, u := range []struct {
+		name  string
+		body  []byte
+		state JobState
+	}{{"paced", doc, JobDone}, {"broken", broken, JobFailed}} {
+		var up Job
+		if code := postKB(t, ts.URL, "name="+u.name+"&format=.nt", u.body, &up); code != http.StatusAccepted {
+			t.Fatalf("upload %s: %d", u.name, code)
+		}
+		events, final := watch(up.ID)
+		if final.State != u.state {
+			t.Fatalf("upload %s: %s (%s), want %s", u.name, final.State, final.Error, u.state)
+		}
+		check(u.name, events[u.name], reached(u.body))
+		checkFinal(final, u.name, reached(u.body))
 	}
 }
 

@@ -33,7 +33,7 @@ func publishMovies(t *testing.T, srv *Server) string {
 
 // publishAligned aligns d offline and publishes the result, so the server
 // retains the ontology pair the union KB is built from.
-func publishAligned(t *testing.T, srv *Server, d *gen.Dataset) string {
+func publishAligned(t testing.TB, srv *Server, d *gen.Dataset) string {
 	t.Helper()
 	o1, o2, err := d.Build(nil)
 	if err != nil {

@@ -600,8 +600,8 @@ func (s *Server) cacheOntologies(snapID string, o1, o2 *store.Ontology) {
 // loadKB is store.LoadFile through the streaming parallel ingest pipeline:
 // block-parallel parsing that feeds the builder in input order, memory
 // bounded by the pipeline's read-ahead window, cancellation checked per
-// block, and — when jobID is non-empty — per-block progress onto the job
-// record and its SSE stream.
+// block, and — when jobID is non-empty — progress onto the job record and
+// its SSE stream, paced by loadProgress.
 func (s *Server) loadKB(ctx context.Context, jobID, phase, path string, lits *store.Literals, norm store.Normalizer) (o *store.Ontology, err error) {
 	ctx, sp := obs.StartSpan(ctx, s.opts.Logf, "ingest.load")
 	sp.Set("phase", phase)
@@ -615,17 +615,48 @@ func (s *Server) loadKB(ctx context.Context, jobID, phase, path string, lits *st
 		return nil, err
 	}
 	defer f.Close()
-	opts := []store.LoadOption{store.WithParallelism(s.opts.IngestWorkers)}
+	progress, flush := s.loadProgress(jobID, phase)
+	defer flush()
+	return store.LoadReaderContext(ctx, f, path, kbName(path), lits, norm,
+		store.WithParallelism(s.opts.IngestWorkers), store.WithLoadProgress(progress))
+}
+
+// ingestEventStride is the input volume between two ingest progress events
+// on a job record. Each event clones the record and costs every SSE
+// watcher a JSON frame and a flush, so a job's event count follows its
+// input size, not the pipeline's block size.
+const ingestEventStride = 1 << 20
+
+// loadProgress returns the per-block progress callback of one streaming
+// load and a flush to call once the load has returned. Every block feeds
+// the ingest metrics. When jobID is non-empty, the job record (and so its
+// SSE stream) also gets the first block past each MiB of input, and flush
+// forwards the last block the load reached unless it was just forwarded:
+// a successful load's final totals, or where a failed one stopped. A
+// sub-MiB file thus makes one event, a 5.3 MiB file six.
+func (s *Server) loadProgress(jobID, phase string) (progress func(ingest.Progress), flush func()) {
 	feed := s.met.ingestFeeder()
-	if jobID != "" {
-		opts = append(opts, store.WithLoadProgress(func(p ingest.Progress) {
-			feed(p)
-			s.jobs.ingestProgress(jobID, IngestProgress{Progress: p, Phase: phase})
-		}))
-	} else {
-		opts = append(opts, store.WithLoadProgress(feed))
+	if jobID == "" {
+		return feed, func() {}
 	}
-	return store.LoadReaderContext(ctx, f, path, kbName(path), lits, norm, opts...)
+	var last, sent ingest.Progress
+	forward := func() {
+		sent = last
+		s.jobs.ingestProgress(jobID, IngestProgress{Progress: last, Phase: phase})
+	}
+	progress = func(p ingest.Progress) {
+		feed(p)
+		last = p
+		if p.Bytes/ingestEventStride > sent.Bytes/ingestEventStride {
+			forward()
+		}
+	}
+	flush = func() {
+		if last.Blocks > sent.Blocks {
+			forward()
+		}
+	}
+	return progress, flush
 }
 
 // PublishResult persists a result computed outside the jobs API (for

@@ -3,9 +3,10 @@ package server
 // Server-sent-events progress streaming on GET /v1/jobs/{id}. A request
 // carrying `Accept: text/event-stream` subscribes to the job's live
 // progress instead of polling: one `state` event with the current record,
-// then an `iteration` event per completed fixpoint pass and an `ingest`
-// event per streaming-load block, and finally a `done` event with the
-// terminal record. Each event's data is the full job JSON (the same shape
+// then an `iteration` event per completed fixpoint pass and `ingest` events
+// as the streaming loads advance — at most one per MiB of input, plus one
+// with each load's final totals (loadProgress) — and finally a `done` event
+// with the terminal record. Each event's data is the full job JSON (the same shape
 // the polling GET returns), so consumers need exactly one decoder.
 
 import (
